@@ -2,6 +2,7 @@
 
 #include <poll.h>
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,14 @@ std::string FormatScore(double score) {
   // in-process reference bit-for-bit through this formatting.
   std::snprintf(buf, sizeof(buf), "%.17g", score);
   return buf;
+}
+
+// Parses a whole decimal number with nothing around it: no sign, no
+// spaces, no trailing characters.
+bool ParseCount(const std::string& text, size_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
 HttpResponse JsonError(int status, const std::string& message) {
@@ -88,15 +97,14 @@ Status Daemon::Start() {
 }
 
 void Daemon::PollOnce(int timeout_ms) {
-  struct pollfd fds[3];
-  fds[0] = {transport_.udp_fd(), POLLIN, 0};
-  fds[1] = {transport_.tcp_listen_fd(), POLLIN, 0};
-  fds[2] = {http_.listen_fd(), POLLIN, 0};
-  const int rc = poll(fds, 3, timeout_ms);
-  if (rc <= 0) return;
-  if ((fds[0].revents & POLLIN) != 0) transport_.OnUdpReadable();
-  if ((fds[1].revents & POLLIN) != 0) transport_.OnTcpReadable();
-  if ((fds[2].revents & POLLIN) != 0) http_.OnReadable();
+  // The transport's sockets (UDP, TCP listener, open frame connections)
+  // first, the HTTP listener last.
+  std::vector<pollfd> fds;
+  transport_.AppendPollFds(&fds);
+  fds.push_back({http_.listen_fd(), POLLIN, 0});
+  if (poll(fds.data(), fds.size(), timeout_ms) <= 0) return;
+  transport_.OnPollEvents(fds.data(), fds.size() - 1);
+  if ((fds.back().revents & POLLIN) != 0) http_.OnReadable();
 }
 
 void Daemon::RunUntil(const std::atomic<bool>& stop) {
@@ -241,8 +249,9 @@ HttpResponse Daemon::HandleHttp(const HttpRequest& req) {
     }
     size_t k = 20;
     const auto kit = req.params.find("k");
-    if (kit != req.params.end()) k = std::strtoul(kit->second.c_str(),
-                                                  nullptr, 10);
+    if (kit != req.params.end() && !ParseCount(kit->second, &k)) {
+      return JsonError(400, "k must be a whole decimal number");
+    }
     const std::vector<std::string> terms = analyzer_.Analyze(q->second);
     if (terms.empty()) return JsonError(400, "query has no indexable terms");
     StatusOr<ir::RankedList> results = cluster_.Search(terms, k);

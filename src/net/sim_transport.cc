@@ -47,21 +47,6 @@ StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
   return response;
 }
 
-Status SimTransport::Send(const PeerAddress& to, const wire::Frame& frame,
-                          const CallOptions& opts) {
-  auto it = handlers_.find(to.id);
-  const bool answering = it != handlers_.end() && down_.count(to.id) == 0;
-  stats_.CountFrame(frame.type, frame.wire_size());
-  if (!answering) {
-    // A one-way send has no acknowledgement, so the loss is silent; it is
-    // still surfaced to the caller since the sim knows.
-    return Status::DeadlineExceeded("peer unreachable on sim bus");
-  }
-  (void)it->second(frame);
-  (void)opts;
-  return Status::OK();
-}
-
 Status SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
                               size_t payload_bytes, const CallOptions& opts) {
   const size_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;

@@ -13,8 +13,8 @@ namespace sprite::net {
 
 // The in-process simulated bus. It serves two roles:
 //
-//  1. A frame-level Transport: peers register a handler and Call/Send
-//     deliver encoded wire::Frames as direct function calls. Used by the
+//  1. A frame-level Transport: peers register a handler and Call
+//     delivers encoded wire::Frames as direct function calls. Used by the
 //     in-process cluster tests, where real encode/decode runs without
 //     sockets.
 //
@@ -56,8 +56,6 @@ class SimTransport : public Transport {
 
   StatusOr<wire::Frame> Call(const PeerAddress& to, const wire::Frame& request,
                              const CallOptions& opts) override;
-  Status Send(const PeerAddress& to, const wire::Frame& frame,
-              const CallOptions& opts) override;
   const TransportStats& stats() const override { return stats_; }
   TransportStats& mutable_stats() { return stats_; }
 

@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -23,6 +25,9 @@ using Clock = std::chrono::steady_clock;
 
 // Loopback datagrams comfortably carry ~64 KiB; leave header room.
 constexpr size_t kMaxDatagramBytes = 60000;
+// Bytes one readable event takes from an inbound connection; a larger
+// frame arrives over several poll rounds.
+constexpr size_t kReadChunkBytes = 64 * 1024;
 
 Status MakeAddr(const std::string& host, uint16_t port, sockaddr_in* out) {
   std::memset(out, 0, sizeof(*out));
@@ -41,6 +46,11 @@ Status SetNonBlocking(int fd) {
     return Status::Internal("fcntl(O_NONBLOCK) failed");
   }
   return Status::OK();
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 double RemainingMs(Clock::time_point deadline) {
@@ -129,8 +139,11 @@ StatusOr<int> DialTcp(const sockaddr_in& addr, Clock::time_point deadline) {
     if (s.ok()) {
       int err = 0;
       socklen_t len = sizeof(err);
-      getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) s = Status::Unavailable("tcp connect refused");
+      if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+        s = Status::Internal("getsockopt(SO_ERROR) failed");
+      } else if (err != 0) {
+        s = Status::Unavailable("tcp connect refused");
+      }
     }
   } else if (rc < 0) {
     s = Status::Unavailable("tcp connect failed");
@@ -139,7 +152,49 @@ StatusOr<int> DialTcp(const sockaddr_in& addr, Clock::time_point deadline) {
     ::close(fd);
     return s;
   }
+  SetNoDelay(fd);
   return fd;
+}
+
+// Writes what the socket takes of `out` without blocking and drops it from
+// the front; false on a write error.
+bool WritePending(int fd, std::vector<uint8_t>& out) {
+  size_t sent = 0;
+  while (sent < out.size()) {
+    const ssize_t n =
+        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(sent));
+  return true;
+}
+
+// True when a pooled connection can no longer carry a call. The peer never
+// sends unsolicited bytes, so any readable state means EOF, a reset or
+// garbage.
+bool PeerClosed(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, 0) != 0;
+}
+
+uint64_t PeerKey(const sockaddr_in& addr) {
+  return (uint64_t{addr.sin_addr.s_addr} << 16) | addr.sin_port;
+}
+
+// Closes and removes the least recently used connection of `conns`.
+template <typename Conn>
+void CloseLeastRecentlyUsed(std::vector<Conn>& conns) {
+  auto lru = std::min_element(
+      conns.begin(), conns.end(),
+      [](const Conn& a, const Conn& b) { return a.last_used < b.last_used; });
+  ::close(lru->fd);
+  conns.erase(lru);
 }
 
 double BackoffMs(const CallOptions& opts, size_t retry_index) {
@@ -180,6 +235,10 @@ SocketTransport::~SocketTransport() { Close(); }
 void SocketTransport::Close() {
   if (udp_fd_ >= 0) ::close(udp_fd_);
   if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
+  for (const IdleConn& conn : idle_) ::close(conn.fd);
+  for (const InboundConn& conn : inbound_) ::close(conn.fd);
+  idle_.clear();
+  inbound_.clear();
   udp_fd_ = -1;
   tcp_listen_fd_ = -1;
   udp_port_ = 0;
@@ -254,38 +313,86 @@ void SocketTransport::OnUdpReadable() {
   }
 }
 
-void SocketTransport::OnTcpReadable() {
-  if (tcp_listen_fd_ < 0) return;
+void SocketTransport::AppendPollFds(std::vector<pollfd>* fds) const {
+  fds->push_back({udp_fd_, POLLIN, 0});
+  fds->push_back({tcp_listen_fd_, POLLIN, 0});
+  // A connection with a reply pending writes it before it reads again.
+  for (const InboundConn& conn : inbound_) {
+    fds->push_back(
+        {conn.fd, static_cast<short>(conn.out.empty() ? POLLIN : POLLOUT), 0});
+  }
+}
+
+void SocketTransport::OnPollEvents(const pollfd* fds, size_t count) {
+  if (count < 2) return;
+  if ((fds[0].revents & POLLIN) != 0) OnUdpReadable();
+  // fds[2 + i] is inbound_[i]: this loop only marks connections closed, so
+  // the indices hold until the sweep below.
+  for (size_t i = 0; i + 2 < count && i < inbound_.size(); ++i) {
+    const pollfd& pfd = fds[i + 2];
+    InboundConn& conn = inbound_[i];
+    if (pfd.revents == 0 || pfd.fd != conn.fd) continue;
+    if (!ServeConnection(conn, pfd.revents)) {
+      ::close(conn.fd);
+      conn.fd = -1;
+    }
+  }
+  std::erase_if(inbound_, [](const InboundConn& conn) { return conn.fd < 0; });
+  if ((fds[1].revents & POLLIN) != 0) AcceptConnections();
+}
+
+void SocketTransport::AcceptConnections() {
   for (;;) {
-    int fd = ::accept(tcp_listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(tcp_listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained
     }
-    Status nb = SetNonBlocking(fd);
-    if (!nb.ok()) {
-      ::close(fd);
-      continue;
-    }
-    // One frame exchange per connection; a slow/hostile client is cut off
-    // at the serve deadline instead of wedging the loop.
-    auto deadline = Clock::now() + std::chrono::milliseconds(2000);
-    StatusOr<wire::Frame> req = ReadFrame(fd, deadline);
-    if (req.ok() && handler_) {
-      stats_.CountFrame(req->type, req->wire_size());
-      StatusOr<wire::Frame> resp = Serve(*req);
-      if (resp.ok()) {
-        resp->src = self_;
-        resp->dst = req->src;
-        resp->request_id = req->request_id;
-        std::vector<uint8_t> out = wire::EncodeFrame(*resp);
-        if (WriteAll(fd, out.data(), out.size(), deadline).ok()) {
-          stats_.CountFrame(resp->type, resp->wire_size());
-        }
-      }
-    }
-    ::close(fd);
+    SetNoDelay(fd);
+    if (inbound_.size() >= kMaxConnections) CloseLeastRecentlyUsed(inbound_);
+    InboundConn conn;
+    conn.fd = fd;
+    conn.last_used = ++use_tick_;
+    inbound_.push_back(std::move(conn));
   }
+}
+
+bool SocketTransport::ServeConnection(InboundConn& conn, short revents) {
+  conn.last_used = ++use_tick_;
+  if (!conn.out.empty()) {
+    if (!WritePending(conn.fd, conn.out)) return false;
+  } else if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    uint8_t buf[kReadChunkBytes];
+    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+    if (n == 0) return false;  // EOF
+    if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+    conn.in.insert(conn.in.end(), buf, buf + n);
+  }
+  // Serve each complete frame, with at most one reply pending.
+  size_t used = 0;
+  while (conn.out.empty() && conn.in.size() - used >= wire::kHeaderBytes) {
+    const uint8_t* frame = conn.in.data() + used;
+    StatusOr<wire::FrameHeader> header =
+        wire::DecodeHeader(frame, wire::kHeaderBytes);
+    if (!header.ok()) return false;
+    const size_t size = wire::kHeaderBytes + header->payload_length;
+    if (conn.in.size() - used < size) break;
+    StatusOr<wire::Frame> req = wire::DecodeFrame(frame, size);
+    used += size;
+    if (!req.ok() || !handler_) return false;
+    stats_.CountFrame(req->type, req->wire_size());
+    StatusOr<wire::Frame> resp = Serve(*req);
+    if (!resp.ok()) return false;
+    resp->src = self_;
+    resp->dst = req->src;
+    resp->request_id = req->request_id;
+    conn.out = wire::EncodeFrame(*resp);
+    stats_.CountFrame(resp->type, resp->wire_size());
+    if (!WritePending(conn.fd, conn.out)) return false;
+  }
+  conn.in.erase(conn.in.begin(),
+                conn.in.begin() + static_cast<std::ptrdiff_t>(used));
+  return true;
 }
 
 StatusOr<wire::Frame> SocketTransport::Serve(const wire::Frame& request) {
@@ -356,6 +463,26 @@ StatusOr<wire::Frame> SocketTransport::CallUdp(const PeerAddress& to,
   return last;
 }
 
+StatusOr<int> SocketTransport::TakeConnection(const sockaddr_in& addr,
+                                              Clock::time_point deadline) {
+  const uint64_t peer = PeerKey(addr);
+  auto idle = std::find_if(idle_.begin(), idle_.end(),
+                           [&](const IdleConn& c) { return c.peer == peer; });
+  if (idle != idle_.end()) {
+    const int fd = idle->fd;
+    idle_.erase(idle);
+    if (!PeerClosed(fd)) return fd;
+    ::close(fd);
+  }
+  stats_.CountDial();
+  return DialTcp(addr, deadline);
+}
+
+void SocketTransport::ReleaseConnection(const sockaddr_in& addr, int fd) {
+  if (idle_.size() >= kMaxConnections) CloseLeastRecentlyUsed(idle_);
+  idle_.push_back({PeerKey(addr), fd, ++use_tick_});
+}
+
 StatusOr<wire::Frame> SocketTransport::CallTcp(const PeerAddress& to,
                                                const wire::Frame& request,
                                                const CallOptions& opts) {
@@ -371,26 +498,29 @@ StatusOr<wire::Frame> SocketTransport::CallTcp(const PeerAddress& to,
     }
     auto deadline = DeadlineAfterMs(opts.timeout_ms);
     const auto attempt_start = Clock::now();
-    StatusOr<int> fd = DialTcp(addr, deadline);
+    StatusOr<int> fd = TakeConnection(addr, deadline);
     if (!fd.ok()) {
       last = fd.status();
       continue;
     }
     stats_.CountFrame(request.type, request.wire_size());
+    // The request is written once per attempt: a failure from here on ends
+    // the attempt and closes the connection.
     Status sent = WriteAll(*fd, out.data(), out.size(), deadline);
-    if (!sent.ok()) {
+    StatusOr<wire::Frame> resp =
+        sent.ok() ? ReadFrame(*fd, deadline) : StatusOr<wire::Frame>(sent);
+    if (resp.ok() && resp->request_id != request.request_id) {
+      resp = Status::Corruption("tcp reply answers another request");
+    }
+    if (!resp.ok()) {
       ::close(*fd);
-      last = sent;
+      last = resp.status();
       continue;
     }
-    StatusOr<wire::Frame> resp = ReadFrame(*fd, deadline);
-    ::close(*fd);
-    if (resp.ok()) {
-      stats_.CountFrame(resp->type, resp->wire_size());
-      stats_.ObserveRtt(request.type, ElapsedUs(attempt_start));
-      return resp;
-    }
-    last = resp.status();
+    ReleaseConnection(addr, *fd);
+    stats_.CountFrame(resp->type, resp->wire_size());
+    stats_.ObserveRtt(request.type, ElapsedUs(attempt_start));
+    return resp;
   }
   if (last.IsDeadlineExceeded()) stats_.CountTimeout(request.type);
   return last;
@@ -421,40 +551,6 @@ StatusOr<wire::Frame> SocketTransport::Call(const PeerAddress& to,
     span.Annotate("error", resp.status().ToString());
   }
   return resp;
-}
-
-Status SocketTransport::Send(const PeerAddress& to, const wire::Frame& frame,
-                             const CallOptions& opts) {
-  wire::Frame f = frame;
-  f.src = self_;
-  f.dst = to.id;
-  if (f.request_id == 0) f.request_id = next_request_id_++;
-  if (UsesUdp(f.type)) {
-    sockaddr_in addr{};
-    SPRITE_RETURN_IF_ERROR(MakeAddr(to.host, to.udp_port, &addr));
-    std::vector<uint8_t> out = wire::EncodeFrame(f);
-    if (out.size() > kMaxDatagramBytes) {
-      return Status::InvalidArgument("frame too large for a datagram");
-    }
-    int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (fd < 0) return Status::Internal("socket(SOCK_DGRAM) failed");
-    (void)::sendto(fd, out.data(), out.size(), 0,
-                   reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    ::close(fd);
-    stats_.CountFrame(f.type, f.wire_size());
-    return Status::OK();
-  }
-  // Bulk one-way: connect, write the frame, close without awaiting a reply.
-  auto deadline = DeadlineAfterMs(opts.timeout_ms);
-  sockaddr_in addr{};
-  SPRITE_RETURN_IF_ERROR(MakeAddr(to.host, to.tcp_port, &addr));
-  StatusOr<int> fd = DialTcp(addr, deadline);
-  if (!fd.ok()) return fd.status();
-  std::vector<uint8_t> out = wire::EncodeFrame(f);
-  Status sent = WriteAll(*fd, out.data(), out.size(), deadline);
-  ::close(*fd);
-  if (sent.ok()) stats_.CountFrame(f.type, f.wire_size());
-  return sent;
 }
 
 }  // namespace sprite::net

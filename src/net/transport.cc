@@ -35,6 +35,13 @@ void TransportStats::CountRetry(p2p::MessageType type) {
   }
 }
 
+void TransportStats::CountDial() {
+  dials_ += 1;
+  if (metrics_ != nullptr && mirror_traffic_) {
+    metrics_->Add("transport.dials", 1);
+  }
+}
+
 void TransportStats::ObserveRtt(p2p::MessageType type, double rtt_us) {
   if (rtt_us < 0.0) return;
   rtt_count_[Idx(type)] += 1;
@@ -67,12 +74,14 @@ void TransportStats::Clear() {
   retries_.fill(0);
   rtt_count_.fill(0);
   rtt_sum_us_.fill(0.0);
+  dials_ = 0;
   if (metrics_ != nullptr) {
     metrics_->EraseByName("transport.frames");
     metrics_->EraseByName("transport.bytes");
     metrics_->EraseByName("transport.timeouts");
     metrics_->EraseByName("transport.retries");
     metrics_->EraseByName("transport.rtt_us");
+    metrics_->EraseByName("transport.dials");
   }
 }
 

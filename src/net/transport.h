@@ -47,9 +47,10 @@ struct CallOptions {
 };
 
 // Per-message-type transport counters: frames/bytes actually moved (or, on
-// the sim backend, charged), plus timeouts and retries. Mirrors into an
-// obs registry as "transport.*" counters labeled by message type; Clear()
-// erases the mirrored counters, preserving the repo's reset invariant.
+// the sim backend, charged), plus timeouts and retries, and the count of
+// outbound TCP connections dialed. Mirrors into an obs registry as
+// "transport.*" counters labeled by message type; Clear() erases the
+// mirrored counters, preserving the repo's reset invariant.
 class TransportStats {
  public:
   // `mirror_traffic` controls whether frames/bytes mirror into the
@@ -65,6 +66,9 @@ class TransportStats {
   void CountFrame(p2p::MessageType type, size_t wire_bytes);
   void CountTimeout(p2p::MessageType type);
   void CountRetry(p2p::MessageType type);
+  // One outbound TCP connection dialed (socket backend only). Mirrors as
+  // the unlabeled "transport.dials" counter, gated on `mirror_traffic`.
+  void CountDial();
   // Records one request→response round-trip wall time. Mirrors into the
   // registry as a "transport.rtt_us" histogram labeled by message type,
   // gated on `mirror_traffic` like frames/bytes: the sim backend never
@@ -77,6 +81,7 @@ class TransportStats {
   uint64_t RetriesOf(p2p::MessageType t) const { return retries_[Idx(t)]; }
   uint64_t RttCountOf(p2p::MessageType t) const { return rtt_count_[Idx(t)]; }
   double RttSumUsOf(p2p::MessageType t) const { return rtt_sum_us_[Idx(t)]; }
+  uint64_t dials() const { return dials_; }
   uint64_t TotalFrames() const;
   uint64_t TotalBytes() const;
   uint64_t TotalTimeouts() const;
@@ -94,6 +99,7 @@ class TransportStats {
   std::array<uint64_t, p2p::kNumMessageTypes> retries_{};
   std::array<uint64_t, p2p::kNumMessageTypes> rtt_count_{};
   std::array<double, p2p::kNumMessageTypes> rtt_sum_us_{};
+  uint64_t dials_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   bool mirror_traffic_ = false;
 };
@@ -109,10 +115,6 @@ class Transport {
   virtual StatusOr<wire::Frame> Call(const PeerAddress& to,
                                      const wire::Frame& request,
                                      const CallOptions& opts) = 0;
-
-  // One-way send; no reply is awaited.
-  virtual Status Send(const PeerAddress& to, const wire::Frame& frame,
-                      const CallOptions& opts) = 0;
 
   virtual const TransportStats& stats() const = 0;
 };

@@ -17,6 +17,8 @@
 #include "corpus/corpus.h"
 #include "corpus/query.h"
 #include "net/cluster.h"
+#include "net/daemon.h"
+#include "net/http.h"
 #include "net/sim_transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -164,17 +166,6 @@ TEST(SimTransportFrameTest, DownPeerSurfacesTypedTimeout) {
   // The partition heals: the same peer answers again.
   bus.SetDown(5, false);
   EXPECT_TRUE(bus.Call(to, request, opts).ok());
-}
-
-TEST(SimTransportFrameTest, SendToUnregisteredPeerReportsLoss) {
-  SimTransport bus;
-  wire::Heartbeat probe;
-  probe.term = "abcdefghij";
-  PeerAddress to;
-  to.id = 99;
-  const Status sent = bus.Send(to, wire::ToFrame(probe), CallOptions{});
-  EXPECT_TRUE(sent.IsDeadlineExceeded());
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 1u);
 }
 
 // --- ClusterNode: in-process three-node cluster -----------------------------
@@ -395,6 +386,25 @@ TEST(TransportStatsTest, RttMirrorsIntoRegistryAndClearErases) {
   EXPECT_EQ(reg.histogram("transport.rtt_us", label), nullptr);
 }
 
+TEST(TransportStatsTest, DialsMirrorWithTrafficAndClearErases) {
+  TransportStats stats;
+  obs::MetricsRegistry reg;
+  stats.AttachMetrics(&reg, /*mirror_traffic=*/true);
+  stats.CountDial();
+  stats.CountDial();
+  EXPECT_EQ(stats.dials(), 2u);
+  EXPECT_EQ(reg.counter("transport.dials"), 2u);
+  // The §8 reset contract: Clear erases the mirrored counter too.
+  stats.Clear();
+  EXPECT_EQ(stats.dials(), 0u);
+  EXPECT_EQ(reg.num_counters(), 0u);
+  // The sim backend's configuration never mirrors dials.
+  stats.AttachMetrics(&reg, /*mirror_traffic=*/false);
+  stats.CountDial();
+  EXPECT_EQ(stats.dials(), 1u);
+  EXPECT_EQ(reg.num_counters(), 0u);
+}
+
 TEST(TransportStatsTest, SimBackendNeverMirrorsRttWallTime) {
   // mirror_traffic=false is the sim backend's configuration: local RTT
   // arrays may count, but no wall time leaks into the registry dumps.
@@ -404,6 +414,43 @@ TEST(TransportStatsTest, SimBackendNeverMirrorsRttWallTime) {
   stats.ObserveRtt(MessageType::kQueryRequest, 10.0);
   EXPECT_EQ(stats.RttCountOf(MessageType::kQueryRequest), 1u);
   EXPECT_EQ(reg.num_histograms(), 0u);
+}
+
+// --- Daemon HTTP frontend ---------------------------------------------------
+
+TEST(DaemonHttpTest, SearchRejectsKThatIsNotAWholeNumber) {
+  DaemonOptions options;
+  options.name = "solo";
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  HttpRequest publish;
+  publish.method = "POST";
+  publish.path = "/publish";
+  publish.body = "1\tCats\tcat whiskers fur\n2\tMore cats\tcat purr\n";
+  ASSERT_EQ(daemon.HandleHttp(publish).status, 200);
+
+  HttpRequest search;
+  search.method = "GET";
+  search.path = "/search";
+  search.params["q"] = "cat";
+  const auto count_docs = [&](const std::string& k) {
+    search.params["k"] = k;
+    const HttpResponse resp = daemon.HandleHttp(search);
+    EXPECT_EQ(resp.status, 200) << "k=" << k;
+    size_t docs = 0;
+    for (size_t at = resp.body.find("\"doc\""); at != std::string::npos;
+         at = resp.body.find("\"doc\"", at + 1)) {
+      ++docs;
+    }
+    return docs;
+  };
+  EXPECT_EQ(count_docs("1"), 1u);
+  EXPECT_EQ(count_docs("2"), 2u);
+  for (const char* bad : {"abc", "", "10x", "-1", "+1", " 1",
+                          "99999999999999999999999"}) {
+    search.params["k"] = bad;
+    EXPECT_EQ(daemon.HandleHttp(search).status, 400) << "k=" << bad;
+  }
 }
 
 // --- Trace propagation: the sim bus stays byte-clean ------------------------

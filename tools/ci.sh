@@ -298,13 +298,15 @@ echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
 echo "hotpath perf gate OK"
 
 if [ "${1:-}" = "--tsan" ]; then
-  echo "== sanitizers: TSan build, parallel suite at 4 threads =="
+  echo "== sanitizers: TSan build, parallel suite at 4 threads, socket transport =="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
-  cmake --build build-tsan -j --target parallel_test fig4a_num_answers
+  cmake --build build-tsan -j --target parallel_test socket_transport_test \
+    fig4a_num_answers
   ./build-tsan/tests/parallel_test
+  ./build-tsan/tests/socket_transport_test
   ./build-tsan/bench/fig4a_num_answers --docs=200 --peers=16 --threads=4 \
     >/dev/null
   echo "TSan OK"
