@@ -11,17 +11,15 @@
 #include "bench/bench_common.h"
 #include "common/rng.h"
 #include "dht/chord.h"
-#include "dht/kademlia.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace {
 
 // This bench has no SpriteSystem, so the --metrics-json/--trace-json
-// flags instrument a standalone registry + tracer attached to both
-// overlays: a converged 256-peer Chord ring and Kademlia network resolve
-// the same term keys, with each lookup a root span whose chord.hop /
-// kad.hop children carry the per-hop cost.
+// flags instrument a standalone registry + tracer attached to a converged
+// 256-peer Chord ring resolving term keys, with each lookup a root span
+// whose chord.hop children carry the per-hop cost.
 void RunInstrumentedSample(const spritebench::BenchArgs& args) {
   using namespace sprite;
   if (args.metrics_json.empty() && args.trace_json.empty() &&
@@ -34,32 +32,19 @@ void RunInstrumentedSample(const spritebench::BenchArgs& args) {
   tracer.set_hop_cost_ms(50.0);
 
   dht::ChordRing chord(dht::ChordOptions{32, 8});
-  dht::KademliaNetwork kad(dht::KademliaOptions{32, 8});
   for (size_t i = 0; i < 256; ++i) {
     SPRITE_CHECK(chord.Join("peer" + std::to_string(i)).ok());
-    SPRITE_CHECK(kad.Join("peer" + std::to_string(i)).ok());
   }
   chord.BuildPerfect();
-  kad.BuildPerfect();
   chord.ClearStats();
-  kad.ClearStats();
   chord.AttachMetrics(&metrics);
-  kad.AttachMetrics(&metrics);
   chord.AttachTracer(&tracer);
-  kad.AttachTracer(&tracer);
 
   for (int i = 0; i < 500; ++i) {
     const std::string term = "term" + std::to_string(i);
-    {
-      obs::ScopedSpan span(&tracer, "chord.lookup", "bench");
-      span.Annotate("term", term);
-      SPRITE_CHECK(chord.Lookup(chord.space().KeyForString(term)).ok());
-    }
-    {
-      obs::ScopedSpan span(&tracer, "kad.lookup", "bench");
-      span.Annotate("term", term);
-      SPRITE_CHECK(kad.Lookup(kad.space().KeyForString(term)).ok());
-    }
+    obs::ScopedSpan span(&tracer, "chord.lookup", "bench");
+    span.Annotate("term", term);
+    SPRITE_CHECK(chord.Lookup(chord.space().KeyForString(term)).ok());
   }
 
   const auto write = [](const std::string& path, const std::string& body,
@@ -139,35 +124,6 @@ void RunOnce(const spritebench::BenchArgs& args,
                 "pre-churn)\n",
                 ok, failed, ring.stats().hops.Mean(),
                 0.5 * std::log2(768.0));
-  }
-
-  // The paper: "there is nothing in our central idea that depends on
-  // Chord". The same term keys resolve to a unique owner with logarithmic
-  // cost on a Kademlia overlay too.
-  {
-    spritebench::PerfRecorder::Phase phase(perf, "overlay_compare");
-    std::printf("\noverlay comparison: lookup hops for the same term keys\n");
-    std::printf("%8s | %12s | %12s\n", "peers", "Chord", "Kademlia");
-    std::printf("---------+--------------+-------------\n");
-    for (size_t n : {64u, 256u, 1024u}) {
-      dht::ChordRing chord(dht::ChordOptions{32, 8});
-      dht::KademliaNetwork kad(dht::KademliaOptions{32, 8});
-      for (size_t i = 0; i < n; ++i) {
-        SPRITE_CHECK(chord.Join("peer" + std::to_string(i)).ok());
-        SPRITE_CHECK(kad.Join("peer" + std::to_string(i)).ok());
-      }
-      chord.BuildPerfect();
-      kad.BuildPerfect();
-      chord.ClearStats();
-      kad.ClearStats();
-      for (int i = 0; i < 1000; ++i) {
-        const std::string term = "term" + std::to_string(i);
-        SPRITE_CHECK(chord.Lookup(chord.space().KeyForString(term)).ok());
-        SPRITE_CHECK(kad.Lookup(kad.space().KeyForString(term)).ok());
-      }
-      std::printf("%8zu | %12.2f | %12.2f\n", n, chord.stats().hops.Mean(),
-                  kad.stats().hops.Mean());
-    }
   }
 
   RunInstrumentedSample(args);

@@ -20,13 +20,13 @@ namespace {
 
 using namespace sprite;
 
-void PrintCost(const char* label, const p2p::NetworkStats& stats,
+void PrintCost(const char* label, const net::TransportStats& stats,
                size_t num_docs) {
   std::printf("%-8s total msgs %10llu  bytes %12llu  (%.1f msgs/doc)\n",
               label,
-              static_cast<unsigned long long>(stats.TotalMessages()),
+              static_cast<unsigned long long>(stats.TotalFrames()),
               static_cast<unsigned long long>(stats.TotalBytes()),
-              static_cast<double>(stats.TotalMessages()) /
+              static_cast<double>(stats.TotalFrames()) /
                   static_cast<double>(num_docs));
 }
 
@@ -71,7 +71,7 @@ void RunOnce(const spritebench::BenchArgs& args, const eval::TestBed& bed,
     const auto capture = [&](const char* label) {
       system.mutable_metrics().Set(
           "bench.net_messages",
-          static_cast<double>(system.network_stats().TotalMessages()));
+          static_cast<double>(system.network_stats().TotalFrames()));
       system.mutable_metrics().Set(
           "bench.net_bytes",
           static_cast<double>(system.network_stats().TotalBytes()));
@@ -105,7 +105,7 @@ void RunOnce(const spritebench::BenchArgs& args, const eval::TestBed& bed,
     std::printf("\nsearch cost over %zu queries: %.1f msgs/query, "
                 "%.0f bytes/query, %.2f routing hops/lookup\n",
                 queries,
-                static_cast<double>(net.TotalMessages()) /
+                static_cast<double>(net.TotalFrames()) /
                     static_cast<double>(queries),
                 static_cast<double>(net.TotalBytes()) /
                     static_cast<double>(queries),

@@ -10,7 +10,6 @@
 #include "bench/bench_common.h"
 #include "common/md5.h"
 #include "common/rng.h"
-#include "common/sha1.h"
 #include "corpus/synthetic.h"
 #include "text/analyzer.h"
 #include "text/porter_stemmer.h"
@@ -96,16 +95,6 @@ void BM_Md5Block(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 
-void BM_Sha1Block(benchmark::State& state) {
-  const std::string data(static_cast<size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    auto digest = Sha1Sum(data);
-    benchmark::DoNotOptimize(digest);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.size()));
-}
-
 }  // namespace
 
 BENCHMARK(BM_Tokenize);
@@ -113,7 +102,6 @@ BENCHMARK(BM_PorterStem);
 BENCHMARK(BM_AnalyzeDocument);
 BENCHMARK(BM_Md5TermKey);
 BENCHMARK(BM_Md5Block)->Arg(64)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Sha1Block)->Arg(4096);
 
 // Custom main instead of benchmark_main (which rejects unknown flags):
 // parse the shared bench flags first, then let benchmark::Initialize strip

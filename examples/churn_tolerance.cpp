@@ -62,7 +62,7 @@ int main() {
   system.ReplicateIndexes();
   std::printf("replicated indexes (%llu replica messages)\n\n",
               static_cast<unsigned long long>(
-                  system.network_stats().MessagesOf(
+                  system.network_stats().FramesOf(
                       p2p::MessageType::kReplicate)));
 
   // Kill the peer responsible for "storage". Routing repairs itself and

@@ -78,7 +78,7 @@ struct ResultKeyHash {
 ResultKey MakeResultKey(std::vector<TermId> terms, size_t k);
 
 // Byte estimates used for the caches' capacity accounting, derived from
-// the same wire-size constants as the traffic accountant. Interned keys
+// the same wire-size constants as the sim bus's cost model. Interned keys
 // still charge what their spellings would occupy on the wire (resolved
 // through the global TermDict), so occupancy gauges and eviction order are
 // independent of the in-memory key representation.
@@ -133,7 +133,7 @@ class CacheManager {
   CacheManager(const CacheManager&) = delete;
   CacheManager& operator=(const CacheManager&) = delete;
 
-  // Attach after construction, like the network accountant: mirrored
+  // Attach after construction, like the Chord ring: mirrored
   // cache.* metrics appear in `metrics` from then on.
   void AttachMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 

@@ -56,7 +56,6 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
   ring_.ClearStats();
   // Attach the metrics mirrors only now, so bootstrap traffic (the initial
   // joins above) is excluded, matching the ClearStats() baseline.
-  net_.AttachMetrics(&metrics_);
   ring_.AttachMetrics(&metrics_);
   cache_.AttachMetrics(&metrics_);
   timeseries_.AttachMetrics(&metrics_);
@@ -67,14 +66,13 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
   wall_.set_enabled(config_.enable_wall_profiler);
   tracer_.set_hop_cost_ms(latency_.HopsMs(1));
   ring_.AttachTracer(&tracer_);
-  net_.AttachTracer(&tracer_);
   slo_.AttachTracer(&tracer_);
-  // The bus charges direct sends to the legacy accountant and answers
-  // liveness from the ring; retry backoff advances the simulated clock.
-  // Traffic is not double-mirrored into the registry (net.* already is);
-  // only timeouts/retries appear, lazily, as transport.* counters.
+  // The bus mirrors every charge as net.* counters and span annotations
+  // and answers liveness from the ring; retry backoff advances the
+  // simulated clock. Traffic is not double-mirrored as transport.*; only
+  // timeouts/retries appear there, lazily.
   bus_.ConfigureCostModel(
-      &net_,
+      &metrics_, &tracer_,
       [this](PeerId id) {
         const dht::ChordNode* node = ring_.node(id);
         return node != nullptr && node->alive;
@@ -271,7 +269,7 @@ PeerId SpriteSystem::PickPeer(uint64_t hash) const {
 StatusOr<dht::ChordRing::LookupResult> SpriteSystem::CommitRoute(
     const dht::ChordRing::LookupPlan& route) {
   StatusOr<dht::ChordRing::LookupResult> res = ring_.CommitLookup(route);
-  if (res.ok()) net_.CountLookupHops(res->hops);
+  if (res.ok()) bus_.CostHops(res->hops);
   return res;
 }
 

@@ -29,7 +29,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "net/sim_transport.h"
-#include "p2p/network.h"
 #include "store/peer_store.h"
 
 namespace sprite::core {
@@ -70,8 +69,9 @@ struct MissAttribution {
 // publication, query processing) shared — which is exactly what the
 // paper's comparison isolates.
 //
-// All traffic a real deployment would send is counted in network_stats();
-// Chord routing hops are additionally available via ring().stats().
+// All traffic a real deployment would send is charged to the simulated
+// bus's ledger, network_stats(); Chord routing hops are additionally
+// available via ring().stats().
 class SpriteSystem {
  public:
   explicit SpriteSystem(SpriteConfig config);
@@ -200,11 +200,11 @@ class SpriteSystem {
 
   const dht::ChordRing& ring() const { return ring_; }
   dht::ChordRing& mutable_ring() { return ring_; }
-  const p2p::NetworkStats& network_stats() const { return net_.stats(); }
-  // The simulated bus every direct send and exchange goes through
-  // (DESIGN.md §14). Its per-type frame/timeout/retry counters mirror the
-  // accountant's view at the transport layer.
+  // The simulated bus every direct send, exchange and routing hop is
+  // charged to (DESIGN.md §14), and its per-type frame/byte/timeout/retry
+  // ledger. network_stats() and transport_stats() are the same ledger.
   const net::Transport& transport() const { return bus_; }
+  const net::TransportStats& network_stats() const { return bus_.stats(); }
   const net::TransportStats& transport_stats() const { return bus_.stats(); }
   net::SimTransport& mutable_bus() { return bus_; }
   // Deadline/retry policy for direct exchanges, from the config knobs.
@@ -212,12 +212,9 @@ class SpriteSystem {
     return net::CallOptions{config_.peer_timeout_ms, config_.send_retries,
                             config_.retry_backoff_ms};
   }
-  // Resets the traffic accounting; the accountant also drops its mirrored
-  // net.* counters from the registry so both views stay in sync.
-  void ClearNetworkStats() {
-    net_.Clear();
-    bus_.mutable_stats().Clear();
-  }
+  // Resets the traffic ledger; the bus also drops its mirrored net.* and
+  // transport.* counters from the registry so both views stay in sync.
+  void ClearNetworkStats() { bus_.ClearStats(); }
   // The observability registry: per-phase counters and latency histograms
   // for search (route/fetch/rank), learning polls, heartbeats, replication
   // and rebalancing, plus the per-message-type traffic mirrored from
@@ -231,8 +228,7 @@ class SpriteSystem {
   // view would leave the mirrors disagreeing).
   void ClearMetrics() {
     metrics_.Clear();
-    net_.Clear();
-    bus_.mutable_stats().Clear();
+    bus_.ClearStats();
     ring_.ClearStats();
     cache_.ClearStats();  // stats only: cached contents stay warm
     timeseries_.Clear();
@@ -439,15 +435,15 @@ class SpriteSystem {
   bool TermServesDoc(TermId term, DocId doc) const;
 
   SpriteConfig config_;
-  // Declared before ring_ and net_, which hold pointers into them.
+  // Declared before ring_ and bus_, which hold pointers into them.
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   obs::LatencyModel latency_;
   dht::ChordRing ring_;
-  p2p::NetworkAccountant net_;
-  // The transport seam: direct sends/exchanges are charged through the
-  // bus, which owns the unreachable-peer timeout/retry semantics. Holds
-  // pointers into net_, ring_ and tracer_, so declared after them.
+  // The transport seam: direct sends, exchanges and routing hops are
+  // charged through the bus, which owns the traffic ledger and the
+  // unreachable-peer timeout/retry semantics. Holds pointers into
+  // metrics_, ring_ and tracer_, so declared after them.
   net::SimTransport bus_;
   cache::CacheManager cache_;
   obs::TimeSeriesRecorder timeseries_;

@@ -59,7 +59,7 @@ StatusOr<std::vector<ConvergencePoint>> TrainSystemWithConvergence(
     point.round = system.learning_round();
     point.eval = EvaluateSystem(system, bed, eval_queries, answers);
     point.indexed_terms = system.TotalIndexedTerms();
-    point.net_messages = system.network_stats().TotalMessages();
+    point.net_messages = system.network_stats().TotalFrames();
     point.net_bytes = system.network_stats().TotalBytes();
     // Unlabeled bench gauges: the convergence quantities the time-series
     // recorder captures (labeled per-peer/per-message metrics are not

@@ -57,9 +57,9 @@ Daemon::Daemon(DaemonOptions options)
       cluster_(ClusterOptions{options.name, options.config}, &transport_) {
   // Live observability wiring (DESIGN.md §16): transport counters + RTT
   // histograms mirror into this daemon's registry (mirror_traffic on — no
-  // NetworkAccountant exists here to double-count against), and the tracer
-  // runs on a wall clock with ids salted by this node's ring id so traces
-  // minted on different daemons never collide.
+  // sim cost model mirrors net.* here to double-count against), and the
+  // tracer runs on a wall clock with ids salted by this node's ring id so
+  // traces minted on different daemons never collide.
   transport_.mutable_stats().AttachMetrics(&metrics_, /*mirror_traffic=*/true);
   cluster_.AttachObservability(&metrics_, &tracer_);
   tracer_.set_time_source(&wall_clock_);

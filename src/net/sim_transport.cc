@@ -1,5 +1,6 @@
 #include "net/sim_transport.h"
 
+#include <string>
 #include <utility>
 
 namespace sprite::net {
@@ -30,7 +31,7 @@ StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
   const bool answering = it != handlers_.end() && down_.count(to.id) == 0;
   if (!answering) {
     for (size_t attempt = 0; attempt <= opts.retries; ++attempt) {
-      stats_.CountFrame(request.type, request.wire_size());
+      Charge(request.type, request.wire_size());
       if (attempt < opts.retries) {
         stats_.CountRetry(request.type);
         if (advance_ms_) advance_ms_(BackoffMs(opts, attempt));
@@ -39,11 +40,9 @@ StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
     stats_.CountTimeout(request.type);
     return Status::DeadlineExceeded("peer unreachable on sim bus");
   }
-  stats_.CountFrame(request.type, request.wire_size());
+  Charge(request.type, request.wire_size());
   StatusOr<wire::Frame> response = it->second(request);
-  if (response.ok()) {
-    stats_.CountFrame(response->type, response->wire_size());
-  }
+  if (response.ok()) Charge(response->type, response->wire_size());
   return response;
 }
 
@@ -52,13 +51,11 @@ Status SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
   const size_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;
   const bool up = reachable_ ? reachable_(to) : true;
   if (up) {
-    if (net_ != nullptr) net_->Count(type, payload_bytes);
-    stats_.CountFrame(type, wire_bytes);
+    Charge(type, wire_bytes);
     return Status::OK();
   }
   for (size_t attempt = 0; attempt <= opts.retries; ++attempt) {
-    if (net_ != nullptr) net_->Count(type, payload_bytes);
-    stats_.CountFrame(type, wire_bytes);
+    Charge(type, wire_bytes);
     if (attempt < opts.retries) {
       stats_.CountRetry(type);
       if (advance_ms_) advance_ms_(BackoffMs(opts, attempt));
@@ -70,8 +67,37 @@ Status SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
 
 void SimTransport::CompleteExchange(p2p::MessageType type,
                                     size_t payload_bytes) {
-  if (net_ != nullptr) net_->Count(type, payload_bytes);
-  stats_.CountFrame(type, p2p::kMessageHeaderBytes + payload_bytes);
+  Charge(type, p2p::kMessageHeaderBytes + payload_bytes);
+}
+
+void SimTransport::CostHops(int hops) {
+  if (hops <= 0) return;
+  const auto frames = static_cast<uint64_t>(hops);
+  Charge(p2p::MessageType::kLookupHop, frames * p2p::kLookupHopBytes, frames);
+}
+
+void SimTransport::ClearStats() {
+  stats_.Clear();
+  if (metrics_ != nullptr) {
+    metrics_->EraseByName("net.messages");
+    metrics_->EraseByName("net.bytes");
+  }
+}
+
+void SimTransport::Charge(p2p::MessageType type, uint64_t wire_bytes,
+                          uint64_t frames) {
+  stats_.CountFrame(type, wire_bytes, frames);
+  const bool annotate = tracer_ != nullptr && tracer_->InActiveSpan();
+  if (metrics_ == nullptr && !annotate) return;
+  const std::string label(p2p::MessageTypeName(type));
+  if (metrics_ != nullptr) {
+    metrics_->Add("net.messages", label, frames);
+    metrics_->Add("net.bytes", label, wire_bytes);
+  }
+  if (annotate) {
+    tracer_->AnnotateAdd("net." + label + ".msgs", frames);
+    tracer_->AnnotateAdd("net." + label + ".bytes", wire_bytes);
+  }
 }
 
 }  // namespace sprite::net

@@ -7,7 +7,8 @@
 
 #include "common/status.h"
 #include "net/transport.h"
-#include "p2p/network.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace sprite::net {
 
@@ -20,10 +21,17 @@ namespace sprite::net {
 //
 //  2. The cost-model seam for SpriteSystem: the simulation never encodes
 //     its hot-path traffic (posting-list fetches are zero-copy snapshots),
-//     so direct sends go through CostSend/BeginExchange/CompleteExchange,
-//     which charge the legacy NetworkAccountant model — byte-for-byte what
-//     the pre-transport code charged — while surfacing typed unreachable-
-//     peer statuses and honoring the retry/backoff knobs.
+//     so direct sends go through CostSend/BeginExchange/CompleteExchange
+//     and routing hops through CostHops. Each charges the header+payload
+//     estimate of p2p/message.h — byte-for-byte what the pre-transport
+//     code charged — while surfacing typed unreachable-peer statuses and
+//     honoring the retry/backoff knobs.
+//
+// stats() is the simulation's one traffic ledger. Every charge is booked
+// there once and mirrored, when a registry/tracer is configured, as the
+// "net.messages"/"net.bytes" counters labeled by message type and as
+// "net.<Type>.msgs"/"net.<Type>.bytes" annotations on the innermost open
+// span.
 //
 // The request leg of a send is always charged, reachable or not: the bytes
 // leave the sender either way, and only then does the peer's silence turn
@@ -60,13 +68,15 @@ class SimTransport : public Transport {
   TransportStats& mutable_stats() { return stats_; }
 
   // --- Cost-model seam ---------------------------------------------------
-  // `net` aggregates charged traffic; `reachable` answers peer liveness;
-  // `advance_ms` advances the simulated clock during retry backoff waits.
-  // All three must outlive this transport. Pass nullptrs/empty to detach.
-  void ConfigureCostModel(p2p::NetworkAccountant* net,
+  // `metrics`/`tracer` receive the net.* mirrors of every charge;
+  // `reachable` answers peer liveness; `advance_ms` advances the simulated
+  // clock during retry backoff waits. All must outlive this transport.
+  // Pass nullptrs/empty to detach.
+  void ConfigureCostModel(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
                           std::function<bool(p2p::PeerId)> reachable,
                           std::function<void(double)> advance_ms) {
-    net_ = net;
+    metrics_ = metrics;
+    tracer_ = tracer;
     reachable_ = std::move(reachable);
     advance_ms_ = std::move(advance_ms);
   }
@@ -88,13 +98,25 @@ class SimTransport : public Transport {
   // Response leg; call only after BeginExchange returned OK.
   void CompleteExchange(p2p::MessageType type, size_t payload_bytes);
 
+  // Charges `hops` Chord routing hops, one kLookupHopBytes LookupHop frame
+  // each. Zero or negative hops charge nothing.
+  void CostHops(int hops);
+
+  // Resets the ledger and erases its net.* and transport.* mirrors, so
+  // every view returns to zero together (DESIGN.md §8).
+  void ClearStats();
+
  private:
   bool Reachable(p2p::PeerId id) const;
+  // Books `frames` frames of `type`, `wire_bytes` in total, and mirrors
+  // them as net.* counters and span annotations.
+  void Charge(p2p::MessageType type, uint64_t wire_bytes, uint64_t frames = 1);
 
   std::unordered_map<p2p::PeerId, Handler> handlers_;
   std::unordered_set<p2p::PeerId> down_;
   TransportStats stats_;
-  p2p::NetworkAccountant* net_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Tracer* tracer_ = nullptr;
   std::function<bool(p2p::PeerId)> reachable_;
   std::function<void(double)> advance_ms_;
 };

@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/string_util.h"
+
 namespace sprite::net {
 
 namespace {
@@ -12,11 +14,12 @@ std::string Label(p2p::MessageType type) {
 
 }  // namespace
 
-void TransportStats::CountFrame(p2p::MessageType type, size_t wire_bytes) {
-  frames_[Idx(type)] += 1;
+void TransportStats::CountFrame(p2p::MessageType type, size_t wire_bytes,
+                                uint64_t frames) {
+  frames_[Idx(type)] += frames;
   bytes_[Idx(type)] += wire_bytes;
   if (metrics_ != nullptr && mirror_traffic_) {
-    metrics_->Add("transport.frames", Label(type), 1);
+    metrics_->Add("transport.frames", Label(type), frames);
     metrics_->Add("transport.bytes", Label(type), wire_bytes);
   }
 }
@@ -65,6 +68,21 @@ uint64_t TransportStats::TotalTimeouts() const {
 
 uint64_t TransportStats::TotalRetries() const {
   return std::accumulate(retries_.begin(), retries_.end(), uint64_t{0});
+}
+
+std::string TransportStats::ToString() const {
+  std::string out;
+  for (int i = 0; i < p2p::kNumMessageTypes; ++i) {
+    const auto type = static_cast<p2p::MessageType>(i);
+    if (FramesOf(type) == 0) continue;
+    out += StrFormat("  %-14s msgs=%10llu bytes=%12llu\n", Label(type).c_str(),
+                     static_cast<unsigned long long>(FramesOf(type)),
+                     static_cast<unsigned long long>(BytesOf(type)));
+  }
+  out += StrFormat("  %-14s msgs=%10llu bytes=%12llu\n", "TOTAL",
+                   static_cast<unsigned long long>(TotalFrames()),
+                   static_cast<unsigned long long>(TotalBytes()));
+  return out;
 }
 
 void TransportStats::Clear() {

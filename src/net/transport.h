@@ -22,8 +22,8 @@
 // Unreachable peers are a normal condition, not an error: a Call to a
 // departed peer times out after `CallOptions::retries` resends and surfaces
 // Status::DeadlineExceeded; every attempt is counted in the per-type
-// TransportStats (frames/bytes/timeouts/retries), the transport-layer
-// mirror of p2p::NetworkAccountant.
+// TransportStats (frames/bytes/timeouts/retries). On the sim backend that
+// ledger is also the simulation's traffic cost model.
 namespace sprite::net {
 
 // Where a peer can be reached. In-process backends only need `id`; socket
@@ -54,16 +54,18 @@ struct CallOptions {
 class TransportStats {
  public:
   // `mirror_traffic` controls whether frames/bytes mirror into the
-  // registry. The sim backend disables it — its traffic already mirrors
-  // through NetworkAccountant as net.*, and a second copy would change the
-  // dumps — while timeouts/retries (which the accountant cannot see)
-  // always mirror when a registry is attached.
+  // registry. The sim backend disables it — SimTransport mirrors its
+  // charges under the historical net.* names instead, and a second copy
+  // would change the dumps — while timeouts/retries always mirror when a
+  // registry is attached.
   void AttachMetrics(obs::MetricsRegistry* metrics, bool mirror_traffic) {
     metrics_ = metrics;
     mirror_traffic_ = mirror_traffic;
   }
 
-  void CountFrame(p2p::MessageType type, size_t wire_bytes);
+  // Books `frames` frames of `type` carrying `wire_bytes` in total.
+  void CountFrame(p2p::MessageType type, size_t wire_bytes,
+                  uint64_t frames = 1);
   void CountTimeout(p2p::MessageType type);
   void CountRetry(p2p::MessageType type);
   // One outbound TCP connection dialed (socket backend only). Mirrors as
@@ -86,6 +88,10 @@ class TransportStats {
   uint64_t TotalBytes() const;
   uint64_t TotalTimeouts() const;
   uint64_t TotalRetries() const;
+
+  // Multi-line table of the non-zero frame rows plus a total, for bench
+  // output.
+  std::string ToString() const;
 
   // Resets the counters and drops every mirrored transport.* registry
   // counter, so both views stay in sync across resets.

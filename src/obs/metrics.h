@@ -121,8 +121,8 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
   void Clear();
   // Removes every counter/gauge/histogram whose name matches exactly,
-  // across all labels. Used by component resets (e.g. the network
-  // accountant dropping its mirrored net.* counters).
+  // across all labels. Used by component resets (e.g. the sim bus
+  // dropping its mirrored net.* counters).
   void EraseByName(const std::string& name);
 
   size_t num_counters() const { return counters_.size(); }

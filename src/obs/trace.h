@@ -178,7 +178,7 @@ class Tracer {
   TraceContext current() const;
 
   // Annotates the innermost open span (used by layers that do not hold a
-  // context, e.g. the NetworkAccountant).
+  // context, e.g. the sim bus's cost model).
   void Annotate(const std::string& key, std::string value);
   // Accumulates a numeric annotation on the innermost open span.
   void AnnotateAdd(const std::string& key, uint64_t delta);

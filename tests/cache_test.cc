@@ -354,7 +354,7 @@ TEST(CacheIntegrationTest, RepeatSearchHitsAndMatchesByteForByte) {
   EXPECT_GE(s.hits, 17u);
   EXPECT_EQ(s.stale_rejects, 0u);
   EXPECT_GE(s.validations, s.hits);  // every hit was version-checked
-  EXPECT_GT(system.network_stats().MessagesOf(
+  EXPECT_GT(system.network_stats().FramesOf(
                 p2p::MessageType::kVersionCheck),
             0u);
   // The 32 repeats (mostly validated hits) cost less than 32 cold runs.
@@ -436,7 +436,7 @@ TEST(CacheIntegrationTest, BlindModeServesStaleAndCountsIt) {
   EXPECT_GE(served_stale, s.stale_serves);
   EXPECT_EQ(s.validations, 0u);
   EXPECT_EQ(s.stale_rejects, 0u);
-  EXPECT_EQ(system.network_stats().MessagesOf(
+  EXPECT_EQ(system.network_stats().FramesOf(
                 p2p::MessageType::kVersionCheck),
             0u);
 }
@@ -456,7 +456,7 @@ TEST(CacheIntegrationTest, CachingStaysOffByDefault) {
             0u);
   EXPECT_EQ(system.query_cache().stats(cache::CacheTier::kPosting).lookups,
             0u);
-  EXPECT_EQ(system.network_stats().MessagesOf(
+  EXPECT_EQ(system.network_stats().FramesOf(
                 p2p::MessageType::kVersionCheck),
             0u);
 }

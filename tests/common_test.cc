@@ -1,4 +1,4 @@
-// Unit tests for src/common: Status, MD5, SHA-1, RNG, Zipf, string
+// Unit tests for src/common: Status, MD5, RNG, Zipf, string
 // utilities, JSON helpers and the histogram.
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "common/json_util.h"
 #include "common/md5.h"
 #include "common/rng.h"
-#include "common/sha1.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/zipf.h"
@@ -165,36 +164,6 @@ TEST(Md5Test, DistinctInputsDistinctDigests) {
     digests.insert(Md5Hex("input" + std::to_string(i)));
   }
   EXPECT_EQ(digests.size(), 1000u);
-}
-
-// ------------------------------------------------------------------ SHA-1
-
-TEST(Sha1Test, Fips180Vectors) {
-  EXPECT_EQ(Sha1Hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-  EXPECT_EQ(Sha1Hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
-  EXPECT_EQ(Sha1Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1Test, QuickBrownFox) {
-  EXPECT_EQ(Sha1Hex("The quick brown fox jumps over the lazy dog"),
-            "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12");
-}
-
-TEST(Sha1Test, IncrementalMatchesOneShot) {
-  const std::string msg(200, 'q');
-  Sha1 a;
-  a.Update(msg.substr(0, 63));
-  a.Update(msg.substr(63));
-  EXPECT_EQ(a.Finalize().ToHex(), Sha1Hex(msg));
-}
-
-TEST(Sha1Test, MillionAs) {
-  Sha1 sha;
-  std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) sha.Update(chunk);
-  EXPECT_EQ(sha.Finalize().ToHex(),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
 // -------------------------------------------------------------------- RNG

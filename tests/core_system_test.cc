@@ -193,15 +193,15 @@ TEST_F(SpriteSystemTest, NetworkTrafficIsAccounted) {
   SpriteSystem system(SmallConfig());
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
   const auto& stats = system.network_stats();
-  EXPECT_EQ(stats.MessagesOf(p2p::MessageType::kPublishTerm), 6u);
+  EXPECT_EQ(stats.FramesOf(p2p::MessageType::kPublishTerm), 6u);
   EXPECT_GT(stats.TotalBytes(), 0u);
 
   system.ClearNetworkStats();
   (void)system.Search(Q(0, {"cat", "dog"}), 5, /*record=*/false);
-  EXPECT_EQ(system.network_stats().MessagesOf(p2p::MessageType::kQueryRequest),
+  EXPECT_EQ(system.network_stats().FramesOf(p2p::MessageType::kQueryRequest),
             2u);
   EXPECT_EQ(
-      system.network_stats().MessagesOf(p2p::MessageType::kQueryResponse),
+      system.network_stats().FramesOf(p2p::MessageType::kQueryResponse),
       2u);
 }
 
@@ -231,7 +231,7 @@ TEST_F(SpriteSystemTest, ReplicationServesIndexAfterFailure) {
   SpriteSystem system(config);
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
   system.ReplicateIndexes();
-  EXPECT_GT(system.network_stats().MessagesOf(p2p::MessageType::kReplicate),
+  EXPECT_GT(system.network_stats().FramesOf(p2p::MessageType::kReplicate),
             0u);
 
   const uint64_t key = system.ring().space().KeyForString("cat");
@@ -269,7 +269,7 @@ TEST_F(SpriteSystemTest, OverloadAdvisoryReplacesPopularTerm) {
     EXPECT_EQ(terms->size(), 1u);
     EXPECT_NE((*terms)[0], "common") << "doc " << d;
   }
-  EXPECT_GT(system.network_stats().MessagesOf(p2p::MessageType::kAdvisory),
+  EXPECT_GT(system.network_stats().FramesOf(p2p::MessageType::kAdvisory),
             0u);
 }
 
@@ -334,7 +334,7 @@ TEST_F(SpriteSystemTest, JoinPeerTakesOverItsKeyArc) {
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->empty());
   EXPECT_EQ(result->front().doc, 0u);
-  EXPECT_GT(system.network_stats().MessagesOf(p2p::MessageType::kKeyTransfer),
+  EXPECT_GT(system.network_stats().FramesOf(p2p::MessageType::kKeyTransfer),
             0u);
 }
 
@@ -361,7 +361,7 @@ TEST_F(SpriteSystemTest, HeartbeatsProbeEveryIndexedTerm) {
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
   const size_t probes = system.RunHeartbeats();
   EXPECT_EQ(probes, system.TotalIndexedTerms());
-  EXPECT_EQ(system.network_stats().MessagesOf(p2p::MessageType::kHeartbeat),
+  EXPECT_EQ(system.network_stats().FramesOf(p2p::MessageType::kHeartbeat),
             probes);
 }
 
@@ -402,7 +402,7 @@ TEST_F(SpriteSystemTest, HotTermCachingServesFromCoTermPeer) {
   auto result = system.Search(Q(10, {"cat", "dog"}), 10, false);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(
-      system.network_stats().MessagesOf(p2p::MessageType::kQueryRequest), 1u);
+      system.network_stats().FramesOf(p2p::MessageType::kQueryRequest), 1u);
   // Results are the same as without the cache.
   SpriteConfig plain_config = SmallConfig();
   SpriteSystem plain(plain_config);
@@ -426,7 +426,7 @@ TEST_F(SpriteSystemTest, HotTermCacheDisabledByDefault) {
   (void)system.Search(Q(10, {"cat", "dog"}), 10, false);
   // Without the config flag the caches are ignored.
   EXPECT_EQ(
-      system.network_stats().MessagesOf(p2p::MessageType::kQueryRequest), 2u);
+      system.network_stats().FramesOf(p2p::MessageType::kQueryRequest), 2u);
 }
 
 TEST_F(SpriteSystemTest, SearchWithExpansionFindsCoOccurringDocs) {

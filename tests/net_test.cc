@@ -23,7 +23,6 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "p2p/network.h"
 #include "text/analyzer.h"
 
 namespace sprite::net {
@@ -35,14 +34,24 @@ using p2p::MessageType;
 
 struct CostFixture {
   SimTransport bus;
-  p2p::NetworkAccountant net;
+  obs::MetricsRegistry metrics;
   double clock_ms = 0.0;
   bool peer_up = true;
 
   CostFixture() {
     bus.ConfigureCostModel(
-        &net, [this](p2p::PeerId) { return peer_up; },
+        &metrics, /*tracer=*/nullptr, [this](p2p::PeerId) { return peer_up; },
         [this](double ms) { clock_ms += ms; });
+  }
+
+  // The net.* mirror of one message type's charges.
+  uint64_t MirroredMessages(MessageType type) const {
+    return metrics.counter("net.messages",
+                           std::string(p2p::MessageTypeName(type)));
+  }
+  uint64_t MirroredBytes(MessageType type) const {
+    return metrics.counter("net.bytes",
+                           std::string(p2p::MessageTypeName(type)));
   }
 };
 
@@ -51,13 +60,13 @@ TEST(SimTransportCostTest, AliveSendChargesLegacyBytes) {
   const Status sent =
       f.bus.CostSend(7, MessageType::kPublishTerm, 44, CallOptions{});
   EXPECT_TRUE(sent.ok());
-  // Exactly what NetworkAccountant::Count(type, 44) has always booked.
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kPublishTerm), 1u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kPublishTerm),
-            p2p::kMessageHeaderBytes + 44);
-  // The transport-layer mirror agrees and sees no failures.
+  // Exactly the header + payload the simulation has always booked.
   EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kPublishTerm), 1u);
   EXPECT_EQ(f.bus.stats().BytesOf(MessageType::kPublishTerm),
+            p2p::kMessageHeaderBytes + 44);
+  // The net.* mirror agrees, and the ledger sees no failures.
+  EXPECT_EQ(f.MirroredMessages(MessageType::kPublishTerm), 1u);
+  EXPECT_EQ(f.MirroredBytes(MessageType::kPublishTerm),
             p2p::kMessageHeaderBytes + 44);
   EXPECT_EQ(f.bus.stats().TotalTimeouts(), 0u);
   EXPECT_EQ(f.bus.stats().TotalRetries(), 0u);
@@ -68,7 +77,7 @@ TEST(SimTransportCostTest, DeadSendDefaultsMatchLegacyAccounting) {
   // The invariant that keeps every sim dump byte-identical: with the
   // default retries = 0 an unreachable peer costs exactly one request and
   // no response — plus, new with the transport, a typed status and a
-  // timeout counter the accountant could never express.
+  // timeout counter.
   CostFixture f;
   f.peer_up = false;
   const Status sent =
@@ -76,9 +85,10 @@ TEST(SimTransportCostTest, DeadSendDefaultsMatchLegacyAccounting) {
   ASSERT_FALSE(sent.ok());
   EXPECT_TRUE(sent.IsDeadlineExceeded());
   EXPECT_EQ(sent.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 1u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
+  EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kVersionCheck), 1u);
+  EXPECT_EQ(f.bus.stats().BytesOf(MessageType::kVersionCheck),
             p2p::kMessageHeaderBytes + 20);
+  EXPECT_EQ(f.MirroredMessages(MessageType::kVersionCheck), 1u);
   EXPECT_EQ(f.bus.stats().TimeoutsOf(MessageType::kVersionCheck), 1u);
   EXPECT_EQ(f.bus.stats().RetriesOf(MessageType::kVersionCheck), 0u);
   EXPECT_EQ(f.clock_ms, 0.0);  // no retries, no backoff waits
@@ -94,10 +104,12 @@ TEST(SimTransportCostTest, DeadSendRetriesChargeEveryAttempt) {
       f.bus.CostSend(7, MessageType::kVersionCheck, 20, opts);
   ASSERT_TRUE(sent.IsDeadlineExceeded());
   // Three request legs hit the wire (1 + 2 retries), each fully charged.
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 3u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
-            3 * (p2p::kMessageHeaderBytes + 20));
   EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kVersionCheck), 3u);
+  EXPECT_EQ(f.bus.stats().BytesOf(MessageType::kVersionCheck),
+            3 * (p2p::kMessageHeaderBytes + 20));
+  EXPECT_EQ(f.MirroredMessages(MessageType::kVersionCheck), 3u);
+  EXPECT_EQ(f.MirroredBytes(MessageType::kVersionCheck),
+            3 * (p2p::kMessageHeaderBytes + 20));
   EXPECT_EQ(f.bus.stats().RetriesOf(MessageType::kVersionCheck), 2u);
   EXPECT_EQ(f.bus.stats().TimeoutsOf(MessageType::kVersionCheck), 1u);
   // Exponential backoff advanced the simulated clock: 200 + 400 ms.
@@ -110,10 +122,12 @@ TEST(SimTransportCostTest, ExchangeChargesBothLegs) {
       f.bus.BeginExchange(3, MessageType::kVersionCheck, 20, CallOptions{});
   ASSERT_TRUE(sent.ok());
   f.bus.CompleteExchange(MessageType::kVersionCheck, p2p::kVersionBytes);
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 2u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
-            (p2p::kMessageHeaderBytes + 20) +
-                (p2p::kMessageHeaderBytes + p2p::kVersionBytes));
+  const uint64_t both_legs = (p2p::kMessageHeaderBytes + 20) +
+                             (p2p::kMessageHeaderBytes + p2p::kVersionBytes);
+  EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kVersionCheck), 2u);
+  EXPECT_EQ(f.bus.stats().BytesOf(MessageType::kVersionCheck), both_legs);
+  EXPECT_EQ(f.MirroredMessages(MessageType::kVersionCheck), 2u);
+  EXPECT_EQ(f.MirroredBytes(MessageType::kVersionCheck), both_legs);
 }
 
 // --- SimTransport: the frame-level bus --------------------------------------

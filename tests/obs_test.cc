@@ -384,18 +384,18 @@ TEST_F(ObsIntegrationTest, ChordLookupsAreMirrored) {
   EXPECT_GT(hops->count(), 0u);
 }
 
-// Regression: the raw NetworkStats and the mirrored net.* counters must
-// reset together — a bench that calls ClearNetworkStats() between phases
-// used to leave the registry still holding the pre-reset totals.
+// Regression: the bus's traffic ledger and its mirrored net.* counters
+// must reset together — a bench that calls ClearNetworkStats() between
+// phases used to leave the registry still holding the pre-reset totals.
 TEST_F(ObsIntegrationTest, ClearNetworkStatsResetsMirrorCounters) {
   core::SpriteSystem system(SmallConfig());
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
   const MetricsRegistry& m = system.metrics();
-  ASSERT_GT(system.network_stats().TotalMessages(), 0u);
+  ASSERT_GT(system.network_stats().TotalFrames(), 0u);
   ASSERT_GT(m.counter("net.messages", "PublishTerm"), 0u);
 
   system.ClearNetworkStats();
-  EXPECT_EQ(system.network_stats().TotalMessages(), 0u);
+  EXPECT_EQ(system.network_stats().TotalFrames(), 0u);
   EXPECT_EQ(system.network_stats().TotalBytes(), 0u);
   MetricsSnapshot snap = system.metrics().Snapshot();
   for (const CounterSample& c : snap.counters) {
@@ -409,7 +409,7 @@ TEST_F(ObsIntegrationTest, ClearNetworkStatsResetsMirrorCounters) {
   for (const CounterSample& c : system.metrics().Snapshot().counters) {
     if (c.id.name == "net.messages") mirrored += c.value;
   }
-  EXPECT_EQ(mirrored, system.network_stats().TotalMessages());
+  EXPECT_EQ(mirrored, system.network_stats().TotalFrames());
 }
 
 // Same story for the chord.* mirrors behind ChordRing::ClearStats().
@@ -475,7 +475,7 @@ TEST_F(ObsIntegrationTest, ClearMetricsLeavesViewsConsistent) {
   ASSERT_TRUE(system.Search(Q(1, {"cat"}), 10).ok());
   system.ClearMetrics();
   EXPECT_EQ(system.metrics().counter("search.queries"), 0u);
-  EXPECT_EQ(system.network_stats().TotalMessages(), 0u);
+  EXPECT_EQ(system.network_stats().TotalFrames(), 0u);
   EXPECT_EQ(system.ring().stats().lookups, 0u);
   EXPECT_DOUBLE_EQ(system.metrics().gauge("peers.alive"), 16.0);
   EXPECT_DOUBLE_EQ(system.metrics().gauge("peers.total"), 16.0);

@@ -1,7 +1,7 @@
 // Wire-protocol tests (ISSUE 8): round-trips for every message type,
 // malformed-frame rejection with typed statuses, and the byte-accounting
 // parity audit — the fixed deltas between each message's encoded size and
-// the charge the simulation's NetworkAccountant cost model books for the
+// the charge the simulation's cost model (net::SimTransport) books for the
 // same send (documented next to each struct in net/wire.h and in
 // DESIGN.md §14). Runs under ASan in tools/ci.sh --asan.
 

@@ -285,6 +285,23 @@ cmp "$SMOKE_DIR/ranked_flush.txt" "$SMOKE_DIR/ranked_recover.txt"
   --out="$SMOKE_DIR/storage.json" >/dev/null
 echo "storage smoke OK"
 
+echo "== CLI error smoke: bad flags exit 2, unwritable dumps exit 1 =="
+# A mistyped flag is a usage error, never a silent default, and a dump the
+# caller asked for must not be lost without a failing exit code.
+rc=0
+./build/tools/sprite_cli batch "$SMOKE_DIR/corpus.tsv" \
+  "$SMOKE_DIR/queries.txt" --trian=3 >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "sprite_cli batch --trian=3 exited $rc, want 2" >&2
+  exit 1
+fi
+if ./build/tools/sprite_cli search "$SMOKE_DIR/corpus.tsv" "peer search" \
+    --metrics-json="$SMOKE_DIR/missing/dir/metrics.json" >/dev/null 2>&1; then
+  echo "sprite_cli search exited 0 with an unwritable --metrics-json" >&2
+  exit 1
+fi
+echo "CLI error smoke OK"
+
 echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
 # The compressed store must not tax the search hot path: fetch/rank (and
 # the other hotpath_micro phases) stay within tolerance of the committed

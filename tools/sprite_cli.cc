@@ -57,6 +57,8 @@
 //                 into peer histories before learning   (default 8)
 //   --explain-jsonl=PATH (explain/learning-ledger) dump the explain
 //                 ledger (decisions + search decompositions) as JSONL
+// An unknown flag or a number that is not a whole decimal exits 2; a
+// requested dump that cannot be written exits 1.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -64,10 +66,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -75,7 +77,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
@@ -87,7 +91,9 @@
 #include "corpus/trec.h"
 #include "ir/centralized_index.h"
 #include "ir/metrics.h"
-#include "net/daemon.h"
+#include "net/http.h"
+#include "net/socket_transport.h"
+#include "net/wire.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace_report.h"
@@ -119,46 +125,59 @@ struct Options {
   std::string recover_from;
 };
 
+// True when all of `text` is an unsigned decimal number that fits `T`.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
+
+// Parses the shared subcommand flags from argv[first..]. An unknown flag,
+// or a number that is not a whole decimal, is a usage error: it exits 2,
+// so a typo such as --trian=3 never runs with a silent default.
 Options ParseOptions(int argc, char** argv, int first) {
   Options o;
-  constexpr const char kMetricsFlag[] = "--metrics-json=";
-  constexpr const char kTraceFlag[] = "--trace-json=";
-  constexpr const char kTraceJsonlFlag[] = "--trace-jsonl=";
-  constexpr const char kCacheFlag[] = "--cache=";
-  constexpr const char kExplainJsonlFlag[] = "--explain-jsonl=";
-  constexpr const char kFlushToFlag[] = "--flush-to=";
-  constexpr const char kRecoverFromFlag[] = "--recover-from=";
+  const std::pair<std::string_view, size_t*> numbers[] = {
+      {"--peers=", &o.peers}, {"--terms=", &o.terms},
+      {"--iters=", &o.iters}, {"--k=", &o.k},
+      {"--train=", &o.train}};
+  const std::pair<std::string_view, std::string*> strings[] = {
+      {"--cache=", &o.cache},
+      {"--metrics-json=", &o.metrics_json},
+      {"--trace-json=", &o.trace_json},
+      {"--trace-jsonl=", &o.trace_jsonl},
+      {"--explain-jsonl=", &o.explain_jsonl},
+      {"--flush-to=", &o.flush_to},
+      {"--recover-from=", &o.recover_from}};
   for (int i = first; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::sscanf(argv[i], "--peers=%llu", &v) == 1) o.peers = v;
-    if (std::sscanf(argv[i], "--train=%llu", &v) == 1) o.train = v;
-    if (std::sscanf(argv[i], "--terms=%llu", &v) == 1) o.terms = v;
-    if (std::sscanf(argv[i], "--iters=%llu", &v) == 1) o.iters = v;
-    if (std::sscanf(argv[i], "--k=%llu", &v) == 1) o.k = v;
-    if (std::sscanf(argv[i], "--seed=%llu", &v) == 1) o.seed = v;
-    if (std::strncmp(argv[i], kCacheFlag, sizeof(kCacheFlag) - 1) == 0) {
-      o.cache = argv[i] + sizeof(kCacheFlag) - 1;
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view flag =
+        eq == std::string_view::npos ? arg : arg.substr(0, eq + 1);
+    const std::string_view value =
+        eq == std::string_view::npos ? "" : arg.substr(eq + 1);
+    bool known = false;
+    bool valid = true;
+    if (flag == "--seed=") {
+      known = true;
+      valid = ParseWhole(value, &o.seed);
     }
-    if (std::strncmp(argv[i], kMetricsFlag, sizeof(kMetricsFlag) - 1) == 0) {
-      o.metrics_json = argv[i] + sizeof(kMetricsFlag) - 1;
+    for (const auto& [name, field] : numbers) {
+      if (flag != name) continue;
+      known = true;
+      valid = ParseWhole(value, field);
     }
-    if (std::strncmp(argv[i], kExplainJsonlFlag,
-                     sizeof(kExplainJsonlFlag) - 1) == 0) {
-      o.explain_jsonl = argv[i] + sizeof(kExplainJsonlFlag) - 1;
+    for (const auto& [name, field] : strings) {
+      if (flag != name) continue;
+      known = true;
+      *field = std::string(value);
     }
-    if (std::strncmp(argv[i], kFlushToFlag, sizeof(kFlushToFlag) - 1) == 0) {
-      o.flush_to = argv[i] + sizeof(kFlushToFlag) - 1;
-    }
-    if (std::strncmp(argv[i], kRecoverFromFlag,
-                     sizeof(kRecoverFromFlag) - 1) == 0) {
-      o.recover_from = argv[i] + sizeof(kRecoverFromFlag) - 1;
-    }
-    if (std::strncmp(argv[i], kTraceJsonlFlag,
-                     sizeof(kTraceJsonlFlag) - 1) == 0) {
-      o.trace_jsonl = argv[i] + sizeof(kTraceJsonlFlag) - 1;
-    } else if (std::strncmp(argv[i], kTraceFlag,
-                            sizeof(kTraceFlag) - 1) == 0) {
-      o.trace_json = argv[i] + sizeof(kTraceFlag) - 1;
+    if (!known || !valid) {
+      std::fprintf(stderr, "%s: %s\n",
+                   known ? "not a whole decimal number" : "unknown flag",
+                   argv[i]);
+      std::exit(2);
     }
   }
   return o;
@@ -171,38 +190,35 @@ void MaybeEnableTracing(const Options& options, core::SpriteSystem& system) {
   system.mutable_tracer().set_enabled(true);
 }
 
-// Dumps the system's metrics snapshot when --metrics-json was given.
-void MaybeDumpMetrics(const Options& options,
-                      const core::SpriteSystem& system) {
-  if (options.metrics_json.empty()) return;
-  if (obs::WriteJsonFile(options.metrics_json,
-                         system.metrics().Snapshot().ToJson())) {
-    std::printf("metrics written to %s\n", options.metrics_json.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write metrics to %s\n",
-                 options.metrics_json.c_str());
-  }
-}
-
-// Dumps the retained trace trees in the requested format(s).
-void MaybeDumpTraces(const Options& options,
-                     const core::SpriteSystem& system) {
-  const auto write = [](const std::string& path, const std::string& body,
-                        const char* what) {
+// Writes every dump the flags asked for: the explain ledger (when
+// `explain`; explain/learning-ledger only), the metrics snapshot and the
+// retained trace trees. Returns the process exit code: 1 when a requested
+// file could not be written, else 0.
+int WriteDumps(const Options& options, const core::SpriteSystem& system,
+               bool explain = false) {
+  bool ok = true;
+  const auto write = [&ok](const std::string& path, const char* what,
+                           const auto& body) {
     if (path.empty()) return;
-    if (obs::WriteJsonFile(path, body)) {
-      std::printf("%s trace written to %s\n", what, path.c_str());
+    if (obs::WriteJsonFile(path, body())) {
+      std::printf("%s written to %s\n", what, path.c_str());
     } else {
-      std::fprintf(stderr, "failed to write %s trace to %s\n", what,
+      std::fprintf(stderr, "error: failed to write %s to %s\n", what,
                    path.c_str());
+      ok = false;
     }
   };
-  if (!options.trace_json.empty()) {
-    write(options.trace_json, system.tracer().ToPerfettoJson(), "perfetto");
+  if (explain) {
+    write(options.explain_jsonl, "explain ledger",
+          [&] { return system.explainer().ToJsonl(); });
   }
-  if (!options.trace_jsonl.empty()) {
-    write(options.trace_jsonl, system.tracer().ToJsonl(), "jsonl");
-  }
+  write(options.metrics_json, "metrics",
+        [&] { return system.metrics().Snapshot().ToJson(); });
+  write(options.trace_json, "perfetto trace",
+        [&] { return system.tracer().ToPerfettoJson(); });
+  write(options.trace_jsonl, "jsonl trace",
+        [&] { return system.tracer().ToJsonl(); });
+  return ok ? 0 : 1;
 }
 
 core::SpriteConfig MakeConfig(const Options& o) {
@@ -282,7 +298,7 @@ int CmdSearch(int argc, char** argv) {
                 "indexed;\nrepeated queries teach the owners — try "
                 "--iters and re-run programmatically)\n",
                 options.terms);
-    return 0;
+    return WriteDumps(options, system);
   }
   for (size_t i = 0; i < results->size(); ++i) {
     const auto& scored = (*results)[i];
@@ -291,9 +307,7 @@ int CmdSearch(int argc, char** argv) {
   }
   std::printf("\nDHT cost: %s\n", system.ring().stats().hops.Summary().c_str());
   MaybePrintCacheStats(system);
-  MaybeDumpMetrics(options, system);
-  MaybeDumpTraces(options, system);
-  return 0;
+  return WriteDumps(options, system);
 }
 
 int CmdEvaluateTrec(int argc, char** argv) {
@@ -373,23 +387,7 @@ int CmdEvaluateTrec(int argc, char** argv) {
   SPRITE_CHECK_OK(esearch.ShareCorpus(corpus));
   evaluate(esearch);
   MaybePrintCacheStats(sprite_system);
-  MaybeDumpMetrics(options, sprite_system);
-  MaybeDumpTraces(options, sprite_system);
-  return 0;
-}
-
-// Dumps the explain ledger when --explain-jsonl was given.
-void MaybeDumpExplain(const Options& options,
-                      const core::SpriteSystem& system) {
-  if (options.explain_jsonl.empty()) return;
-  if (obs::WriteJsonFile(options.explain_jsonl,
-                         system.explainer().ToJsonl())) {
-    std::printf("explain ledger written to %s\n",
-                options.explain_jsonl.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write explain ledger to %s\n",
-                 options.explain_jsonl.c_str());
-  }
+  return WriteDumps(options, sprite_system);
 }
 
 // Shared setup for explain/learning-ledger: loads the TSV corpus, builds
@@ -512,10 +510,7 @@ int CmdExplain(int argc, char** argv) {
     }
   }
 
-  MaybeDumpExplain(options, *system);
-  MaybeDumpMetrics(options, *system);
-  MaybeDumpTraces(options, *system);
-  return 0;
+  return WriteDumps(options, *system, /*explain=*/true);
 }
 
 int CmdLearningLedger(int argc, char** argv) {
@@ -537,7 +532,7 @@ int CmdLearningLedger(int argc, char** argv) {
   if (decisions.empty()) {
     std::printf("no tuning decisions: the learned index already matches "
                 "the term budget\n");
-    return 0;
+    return WriteDumps(options, *system, /*explain=*/true);
   }
   size_t publishes = 0, withdraws = 0;
   uint64_t round = 0;
@@ -563,10 +558,7 @@ int CmdLearningLedger(int argc, char** argv) {
   std::printf("\n%zu publications, %zu withdrawals across %zu learning "
               "rounds\n",
               publishes, withdraws, options.iters);
-  MaybeDumpExplain(options, *system);
-  MaybeDumpMetrics(options, *system);
-  MaybeDumpTraces(options, *system);
-  return 0;
+  return WriteDumps(options, *system, /*explain=*/true);
 }
 
 int CmdTraceReport(int argc, char** argv) {
@@ -598,68 +590,6 @@ int CmdTraceReport(int argc, char** argv) {
 }
 
 // --- Live cluster subcommands (ISSUE 8, DESIGN.md §14) ---------------------
-
-std::atomic<bool> g_serve_stop{false};
-
-void OnServeSignal(int) { g_serve_stop.store(true, std::memory_order_relaxed); }
-
-// `sprite_cli serve` — run one live cluster node inline (same engine as
-// sprite_daemon, same READY line).
-int CmdServe(int argc, char** argv) {
-  net::DaemonOptions options;
-  constexpr const char kNameFlag[] = "--name=";
-  constexpr const char kHostFlag[] = "--host=";
-  constexpr const char kJoinFlag[] = "--join=";
-  constexpr const char kDataDirFlag[] = "--data-dir=";
-  for (int i = 2; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::strncmp(argv[i], kNameFlag, sizeof(kNameFlag) - 1) == 0) {
-      options.name = argv[i] + sizeof(kNameFlag) - 1;
-    } else if (std::strncmp(argv[i], kHostFlag, sizeof(kHostFlag) - 1) == 0) {
-      options.config.listen_host = argv[i] + sizeof(kHostFlag) - 1;
-    } else if (std::strncmp(argv[i], kDataDirFlag,
-                            sizeof(kDataDirFlag) - 1) == 0) {
-      options.config.data_dir = argv[i] + sizeof(kDataDirFlag) - 1;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      options.enable_trace = true;
-    } else if (std::strncmp(argv[i], kJoinFlag, sizeof(kJoinFlag) - 1) == 0) {
-      const std::string target = argv[i] + sizeof(kJoinFlag) - 1;
-      const size_t colon = target.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--join wants HOST:UDPPORT\n");
-        return 2;
-      }
-      options.bootstrap_host = target.substr(0, colon);
-      options.bootstrap_udp = static_cast<uint16_t>(
-          std::strtoul(target.c_str() + colon + 1, nullptr, 10));
-    } else if (std::sscanf(argv[i], "--udp=%llu", &v) == 1) {
-      options.config.udp_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--tcp=%llu", &v) == 1) {
-      options.config.tcp_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--http=%llu", &v) == 1) {
-      options.config.http_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--terms=%llu", &v) == 1) {
-      options.config.max_index_terms = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  net::Daemon daemon(options);
-  const Status started = daemon.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "start failed: %s\n", started.message().c_str());
-    return 1;
-  }
-  std::signal(SIGINT, OnServeSignal);
-  std::signal(SIGTERM, OnServeSignal);
-  std::printf("READY name=%s udp=%u tcp=%u http=%u\n", options.name.c_str(),
-              daemon.transport().udp_port(), daemon.transport().tcp_port(),
-              daemon.http().port());
-  std::fflush(stdout);
-  daemon.RunUntil(g_serve_stop);
-  return 0;
-}
 
 // `sprite_cli join <host:udpport>` — ask a live node for its member list
 // without joining (a JoinRequest with the announce flag clear).
@@ -1266,9 +1196,6 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "search") == 0) {
     return CmdSearch(argc, argv);
   }
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    return CmdServe(argc, argv);
-  }
   if (argc >= 2 && std::strcmp(argv[1], "join") == 0) {
     return CmdJoin(argc, argv);
   }
@@ -1304,8 +1231,6 @@ int main(int argc, char** argv) {
                "  sprite_cli explain <corpus.tsv> \"<keywords>\" [options]\n"
                "  sprite_cli learning-ledger <corpus.tsv> \"<keywords>\" "
                "[options]\n"
-               "  sprite_cli serve [--name= --host= --udp= --tcp= --http= "
-               "--join=HOST:UDPPORT --data-dir=PATH --trace]\n"
                "  sprite_cli join <host:udpport>\n"
                "  sprite_cli query <host:httpport> \"<keywords>\" [--k=N]\n"
                "  sprite_cli batch <corpus.tsv> <queries.txt> [options]\n"
