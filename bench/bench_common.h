@@ -147,6 +147,19 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   return args;
 }
 
+// Writes one requested dump to `path` and announces it on stdout. A dump
+// that cannot be written ends the bench with exit status 1: a run whose
+// asked-for output is missing must not pass for a good one.
+inline void WriteDumpOrExit(const std::string& path, const std::string& body,
+                            const char* what) {
+  if (sprite::obs::WriteJsonFile(path, body)) {
+    std::printf("%s written to %s\n", what, path.c_str());
+    return;
+  }
+  std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
+  std::exit(1);
+}
+
 // Drives the --perf-json repetition harness (DESIGN.md §13). Usage:
 //
 //   PerfRecorder perf(args, "fig4a_num_answers");
@@ -236,14 +249,7 @@ class PerfRecorder {
   };
 
   void WriteReport() {
-    if (!enabled_) return;
-    const std::string json = report_.ToJson();
-    if (sprite::obs::WriteJsonFile(path_, json)) {
-      std::printf("perf sidecar written to %s\n", path_.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write perf sidecar to %s\n",
-                   path_.c_str());
-    }
+    if (enabled_) WriteDumpOrExit(path_, report_.ToJson(), "perf sidecar");
   }
 
  private:
@@ -326,19 +332,17 @@ inline void ApplySloRules(const BenchArgs& args,
 // their flag paths; no-op for unset flags. Call after the measured phase.
 inline void MaybeWriteTimeSeries(const BenchArgs& args,
                                  const sprite::core::SpriteSystem& sys) {
-  const auto write = [](const std::string& path, const std::string& body,
-                        const char* what) {
-    if (path.empty()) return;
-    if (sprite::obs::WriteJsonFile(path, body)) {
-      std::printf("%s written to %s\n", what, path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
-    }
-  };
-  write(args.timeseries_jsonl, sys.timeseries().ToJsonl(),
-        "timeseries jsonl");
-  write(args.timeseries_csv, sys.timeseries().ToCsv(), "timeseries csv");
-  write(args.slo_jsonl, sys.slo().ToJsonl(), "slo alerts");
+  if (!args.timeseries_jsonl.empty()) {
+    WriteDumpOrExit(args.timeseries_jsonl, sys.timeseries().ToJsonl(),
+                    "timeseries jsonl");
+  }
+  if (!args.timeseries_csv.empty()) {
+    WriteDumpOrExit(args.timeseries_csv, sys.timeseries().ToCsv(),
+                    "timeseries csv");
+  }
+  if (!args.slo_jsonl.empty()) {
+    WriteDumpOrExit(args.slo_jsonl, sys.slo().ToJsonl(), "slo alerts");
+  }
 }
 
 // Writes the convergence trajectory as one JSON object (the committed
@@ -367,13 +371,7 @@ inline void MaybeWriteLearningCurveJson(
         static_cast<unsigned long long>(p.net_bytes));
   }
   json += "\n  ]\n}\n";
-  if (sprite::obs::WriteJsonFile(args.learning_curve_json, json)) {
-    std::printf("learning curve written to %s\n",
-                args.learning_curve_json.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write learning curve to %s\n",
-                 args.learning_curve_json.c_str());
-  }
+  WriteDumpOrExit(args.learning_curve_json, json, "learning curve");
 }
 
 // Applies --cache= to `config`: "on" enables both querying-peer tiers with
@@ -401,34 +399,21 @@ inline void MaybeEnableTracing(const BenchArgs& args,
 inline void MaybeWriteMetricsJson(const BenchArgs& args,
                                   const sprite::core::SpriteSystem& sys) {
   if (args.metrics_json.empty()) return;
-  const std::string json = sys.metrics().Snapshot().ToJson();
-  if (sprite::obs::WriteJsonFile(args.metrics_json, json)) {
-    std::printf("\nmetrics written to %s\n", args.metrics_json.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write metrics to %s\n",
-                 args.metrics_json.c_str());
-  }
+  std::printf("\n");
+  WriteDumpOrExit(args.metrics_json, sys.metrics().Snapshot().ToJson(),
+                  "metrics");
 }
 
 // Writes the tracer's retained traces to args.trace_json (Perfetto) and/or
 // args.trace_jsonl; no-op when neither flag was given.
 inline void MaybeWriteTraceFiles(const BenchArgs& args,
                                  const sprite::core::SpriteSystem& sys) {
-  const auto write = [](const std::string& path, const std::string& body,
-                        const char* what) {
-    if (path.empty()) return;
-    if (sprite::obs::WriteJsonFile(path, body)) {
-      std::printf("%s trace written to %s\n", what, path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s trace to %s\n", what,
-                   path.c_str());
-    }
-  };
   if (!args.trace_json.empty()) {
-    write(args.trace_json, sys.tracer().ToPerfettoJson(), "perfetto");
+    WriteDumpOrExit(args.trace_json, sys.tracer().ToPerfettoJson(),
+                    "perfetto trace");
   }
   if (!args.trace_jsonl.empty()) {
-    write(args.trace_jsonl, sys.tracer().ToJsonl(), "jsonl");
+    WriteDumpOrExit(args.trace_jsonl, sys.tracer().ToJsonl(), "jsonl trace");
   }
 }
 

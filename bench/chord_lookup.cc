@@ -49,12 +49,7 @@ void RunInstrumentedSample(const spritebench::BenchArgs& args) {
 
   const auto write = [](const std::string& path, const std::string& body,
                         const char* what) {
-    if (path.empty()) return;
-    if (obs::WriteJsonFile(path, body)) {
-      std::printf("%s written to %s\n", what, path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
-    }
+    if (!path.empty()) spritebench::WriteDumpOrExit(path, body, what);
   };
   write(args.metrics_json, metrics.Snapshot().ToJson(), "metrics");
   write(args.trace_json, tracer.ToPerfettoJson(), "perfetto trace");

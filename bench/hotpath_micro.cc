@@ -15,9 +15,9 @@
 //   4. end_to_end — the fetch+rank phase of Search over the fig4a-scale
 //      test workload, pre-PR pipeline (string hash per use, deep copies,
 //      two-map accumulation, full sort) vs. the current one (interned keys,
-//      shared views, single reserved accumulator, top-k selection). The
-//      two pipelines' ranked lists are serialized at full precision and
-//      must be byte-identical.
+//      shared views, the production merge ranker). The two pipelines'
+//      ranked lists are serialized at full precision and must be
+//      byte-identical.
 //
 // Timings use a real wall clock (std::chrono::steady_clock) — the
 // simulated clock of the tracer models protocol latency, not CPU cost.
@@ -42,6 +42,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/topk.h"
+#include "core/ranking.h"
 #include "dht/id_space.h"
 #include "ir/ranked_list.h"
 #include "ir/similarity.h"
@@ -150,8 +151,9 @@ double RunLegacy(const core::SpriteSystem& sys, const eval::TestBed& bed,
 }
 
 // The current fetch+rank pipeline: one string hash per term at the intern
-// boundary, precomputed ring keys, shared posting views, a single reserved
-// accumulator, and bounded top-k selection.
+// boundary, precomputed ring keys, shared posting views, and the
+// production ranker (core::RankPostingLists: a doc-at-a-time merge into a
+// bounded top-k).
 double RunFast(const core::SpriteSystem& sys, const eval::TestBed& bed,
                size_t k, bool collect, std::string* dump) {
   const dht::IdSpace& space = sys.ring().space();
@@ -176,30 +178,8 @@ double RunFast(const core::SpriteSystem& sys, const eval::TestBed& bed,
       fetched_postings += view->size();
       lists.push_back(std::move(view));
     }
-    struct Accum {
-      double dot = 0.0;
-      uint32_t distinct_terms = 0;
-    };
-    std::unordered_map<corpus::DocId, Accum> acc;
-    acc.reserve(fetched_postings);
-    for (const core::PostingListPtr& pl : lists) {
-      const double idf = ir::Idf(sys.config().idf_corpus_size,
-                                 static_cast<uint32_t>(pl->size()));
-      if (idf == 0.0) continue;
-      const double wq = idf;
-      for (const core::PostingEntry& p : *pl) {
-        Accum& a = acc[p.doc];
-        a.dot += wq * p.NormalizedTf() * idf;
-        a.distinct_terms = p.num_distinct_terms;
-      }
-    }
-    ir::RankedList results;
-    results.reserve(acc.size());
-    for (const auto& [doc, a] : acc) {
-      const double score = ir::LeeNormalize(a.dot, a.distinct_terms);
-      if (score > 0.0) results.push_back({doc, score});
-    }
-    ir::SortRankedList(results, k);  // bounded selection
+    const ir::RankedList results = core::RankPostingLists(
+        lists, sys.config().idf_corpus_size, fetched_postings, k);
     Sink(results.size() + (results.empty() ? 0 : results[0].doc));
     if (collect) AppendDump(q, results, dump);
   }

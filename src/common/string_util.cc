@@ -60,10 +60,15 @@ std::string_view TrimWhitespace(std::string_view s) {
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
+  std::string out = StrFormatV(fmt, args);
+  va_end(args);
+  return out;
+}
+
+std::string StrFormatV(const char* fmt, va_list args) {
   va_list args_copy;
   va_copy(args_copy, args);
   int needed = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
   std::string out;
   if (needed > 0) {
     out.resize(static_cast<size_t>(needed));

@@ -1,6 +1,7 @@
 #ifndef SPRITE_COMMON_STRING_UTIL_H_
 #define SPRITE_COMMON_STRING_UTIL_H_
 
+#include <cstdarg>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +32,9 @@ std::string_view TrimWhitespace(std::string_view s);
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+// The same over a va_list (for variadic wrappers); `args` is consumed.
+std::string StrFormatV(const char* fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 }  // namespace sprite
 

@@ -1,10 +1,13 @@
 #include "core/sprite_system.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -15,6 +18,26 @@
 #include "ir/similarity.h"
 
 namespace sprite::core {
+
+namespace {
+
+// "peer-<id>", the per-peer metric label (and the name of a peer the ring
+// has no name for), formatted on the stack.
+class PeerLabel {
+ public:
+  explicit PeerLabel(PeerId id) {
+    std::memcpy(buf_, "peer-", 5);
+    len_ = static_cast<size_t>(
+        std::to_chars(buf_ + 5, buf_ + sizeof(buf_), id).ptr - buf_);
+  }
+  operator std::string_view() const { return {buf_, len_}; }
+
+ private:
+  char buf_[32];  // "peer-" and at most 20 digits
+  size_t len_;
+};
+
+}  // namespace
 
 SpriteSystem::SpriteSystem(SpriteConfig config)
     : config_(config),
@@ -65,6 +88,7 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
   explain_.set_enabled(config_.enable_explain);
   wall_.set_enabled(config_.enable_wall_profiler);
   tracer_.set_hop_cost_ms(latency_.HopsMs(1));
+  tracer_.set_peer_namer([this](uint64_t id) { return PeerNameOf(id); });
   ring_.AttachTracer(&tracer_);
   slo_.AttachTracer(&tracer_);
   // The bus mirrors every charge as net.* counters and span annotations
@@ -93,7 +117,7 @@ WorkerPool& SpriteSystem::pool() {
 std::string SpriteSystem::PeerNameOf(PeerId id) const {
   const dht::ChordNode* node = ring_.node(id);
   if (node != nullptr && !node->name.empty()) return node->name;
-  return StrFormat("peer-%llu", static_cast<unsigned long long>(id));
+  return std::string(PeerLabel(id));
 }
 
 void SpriteSystem::ExportLoadMetrics() {
@@ -110,8 +134,7 @@ void SpriteSystem::ExportLoadMetrics() {
         qit == query_load_.end() ? 0.0 : static_cast<double>(qit->second);
     const double braw = static_cast<double>(peer.PostingBytesRaw());
     const double benc = static_cast<double>(peer.PostingBytesEncoded());
-    const std::string label =
-        StrFormat("peer-%llu", static_cast<unsigned long long>(id));
+    const PeerLabel label(id);
     metrics_.Set("load.postings", label, p);
     metrics_.Set("load.queries", label, q);
     // Resident posting bytes (primary + replicas + hot cache), raw vs as
@@ -286,7 +309,7 @@ Status SpriteSystem::PublishTermRouted(PeerId owner, const std::string& term,
                                        TermId id,
                                        const dht::ChordRing::LookupPlan& route,
                                        const PostingEntry& entry) {
-  obs::ScopedSpan span(&tracer_, "publish.term", PeerNameOf(owner));
+  obs::ScopedSpan span(&tracer_, "publish.term", owner);
   span.Annotate("term", term);
   StatusOr<dht::ChordRing::LookupResult> target = CommitRoute(route);
   if (!target.ok()) return target.status();
@@ -316,7 +339,7 @@ Status SpriteSystem::WithdrawTerm(PeerId owner, const std::string& term,
 Status SpriteSystem::WithdrawTermRouted(
     PeerId owner, const std::string& term, TermId id,
     const dht::ChordRing::LookupPlan& route, DocId doc) {
-  obs::ScopedSpan span(&tracer_, "withdraw.term", PeerNameOf(owner));
+  obs::ScopedSpan span(&tracer_, "withdraw.term", owner);
   span.Annotate("term", term);
   StatusOr<dht::ChordRing::LookupResult> target = CommitRoute(route);
   if (!target.ok()) return target.status();
@@ -399,8 +422,8 @@ Status SpriteSystem::ShareDocuments(
   obs::ScopedWallTimer commit_wall(&wall_, "perf.epoch.share.commit");
   for (SharePlan& plan : plans) {
     const corpus::Document& doc = *plan.doc;
-    obs::ScopedSpan span(&tracer_, "share.document", PeerNameOf(plan.owner));
-    span.Annotate("doc", StrFormat("%u", doc.id));
+    obs::ScopedSpan span(&tracer_, "share.document", plan.owner);
+    span.Annotatef("doc", "%u", doc.id);
     OwnerPeer& owner = owners_.at(plan.owner);
     OwnedDocument& owned = owner.AdoptDocument(&doc);
     doc_owner_[doc.id] = plan.owner;
@@ -447,8 +470,8 @@ bool SpriteSystem::ValidateCachedSources(
   bool all_current = true;
   const net::CallOptions direct = DirectCallOptions();
   for (const auto& [peer_id, items] : by_peer) {
-    obs::ScopedSpan span(&tracer_, "cache.validate", PeerNameOf(peer_id));
-    span.Annotate("terms", StrFormat("%zu", items.size()));
+    obs::ScopedSpan span(&tracer_, "cache.validate", peer_id);
+    span.Annotatef("terms", "%zu", items.size());
     // The entry cached the source's address, so the probe is a direct
     // exchange over the transport — no Chord routing. A departed peer
     // surfaces DeadlineExceeded after the configured retries; every
@@ -468,10 +491,7 @@ bool SpriteSystem::ValidateCachedSources(
     bool current = sent.ok();
     if (sent.ok()) {
       query_load_[peer_id] += 1;
-      metrics_.Add("peer.queries_served",
-                   StrFormat("peer-%llu",
-                             static_cast<unsigned long long>(peer_id)),
-                   1);
+      metrics_.Add("peer.queries_served", PeerLabel(peer_id), 1);
       if (rec.has_value() && recorded_at.insert(peer_id).second) {
         indexing_.at(peer_id).RecordQuery(*rec);
       }
@@ -565,9 +585,9 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   // advance the simulated clock by exactly the per-phase latency-model
   // costs, so the tree's summed durations reproduce the
   // latency.search.*_ms observations below.
-  obs::ScopedSpan search_span(&tracer_, "search", PeerNameOf(querying_peer));
-  search_span.Annotate("query", StrFormat("%u", query.id));
-  search_span.Annotate("terms", StrFormat("%zu", terms.size()));
+  obs::ScopedSpan search_span(&tracer_, "search", querying_peer);
+  search_span.Annotatef("query", "%u", query.id);
+  search_span.Annotatef("terms", "%zu", terms.size());
 
   // --- Query-result cache fast path (src/cache) -------------------------
   // A validated hit answers the query for the cost of the version probes;
@@ -577,8 +597,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   cache::ResultKey result_key;
   if (cache_.result_enabled()) {
     result_key = cache::MakeResultKey(terms, k);
-    obs::ScopedSpan cache_span(&tracer_, "cache.lookup",
-                               PeerNameOf(querying_peer));
+    obs::ScopedSpan cache_span(&tracer_, "cache.lookup", querying_peer);
     cache_span.Annotate("tier", "result");
     const cache::CachedResult* hit = cache_.LookupResult(
         querying_peer, result_key, tracer_.clock().now_ms());
@@ -623,8 +642,8 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
       metrics_.Observe("latency.search.rank_ms", 0.0);
       metrics_.Observe("latency.search.total_ms", check_ms);
       search_span.Annotate("cache", "hit");
-      search_span.Annotate("results", StrFormat("%zu", hit->results.size()));
-      search_span.Annotate("total_ms", StrFormat("%.3f", check_ms));
+      search_span.Annotatef("results", "%zu", hit->results.size());
+      search_span.Annotatef("total_ms", "%.3f", check_ms);
       if (explain_on) {
         obs::SearchExplain se;
         se.issuance = issuance;
@@ -667,9 +686,10 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   uint64_t fetch_bytes = 0;
   size_t fetched_postings = 0;
   size_t skipped_terms = 0;
-  // Provenance of each term's list, collected for the result-cache entry.
-  // A result is only cacheable when every term has a known source (no
-  // skipped terms, no hot-term-cache extras of unknown version).
+  // Provenance of each term's list, collected (with the result cache on)
+  // for the result-cache entry. A result is only cacheable when every term
+  // has a known source (no skipped terms, no hot-term-cache extras of
+  // unknown version).
   std::map<TermId, cache::TermSource> sources_used;
   for (size_t ti = 0; ti < terms.size(); ++ti) {
     const size_t term_idx = (plan.start + ti) % terms.size();
@@ -678,8 +698,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
 
     // --- Posting-cache path (src/cache): skip the DHT fetch ------------
     if (cache_.posting_enabled()) {
-      obs::ScopedSpan cache_span(&tracer_, "cache.lookup",
-                                 PeerNameOf(querying_peer));
+      obs::ScopedSpan cache_span(&tracer_, "cache.lookup", querying_peer);
       cache_span.Annotate("tier", "posting");
       cache_span.Annotate("term", dict.TermOf(term));
       const cache::CachedPostings* hit = cache_.LookupPostings(
@@ -712,7 +731,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
         // The memoized decode: repeated hits share one snapshot.
         rl.postings = hit->postings->Snapshot();
         fetched_postings += rl.postings->size();
-        sources_used.emplace(term, hit->source);
+        if (cache_.result_enabled()) sources_used.emplace(term, hit->source);
         resolved.insert(term);
         if (explain_on) {
           obs::TermExplain te;
@@ -729,7 +748,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     }
 
     const uint64_t route_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
-    obs::ScopedSpan route_span(&tracer_, "route", PeerNameOf(querying_peer));
+    obs::ScopedSpan route_span(&tracer_, "route", querying_peer);
     route_span.Annotate("term", dict.TermOf(term));
     const StatusOr<dht::ChordRing::LookupResult> route =
         CommitRoute(plan.routes[term_idx]);
@@ -752,7 +771,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     const uint64_t fetch_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
     // One fetch span per query term, attributed to the indexing peer that
     // serves the exchange (hot-term-cache extras ride in its response).
-    obs::ScopedSpan fetch_span(&tracer_, "fetch", PeerNameOf(target));
+    obs::ScopedSpan fetch_span(&tracer_, "fetch", target);
     const uint64_t fetch_bytes_before = fetch_bytes;
     const size_t postings_before = fetched_postings;
     const size_t request_payload =
@@ -762,9 +781,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     ++fetch_requests;
     fetch_bytes += p2p::kMessageHeaderBytes + request_payload;
     query_load_[target] += 1;
-    metrics_.Add("peer.queries_served",
-                 StrFormat("peer-%llu", static_cast<unsigned long long>(target)),
-                 1);
+    metrics_.Add("peer.queries_served", PeerLabel(target), 1);
     IndexingPeer& peer = indexing_.at(target);
     if (rec.has_value() && recorded_at.insert(target).second) {
       peer.RecordQuery(*rec);
@@ -786,10 +803,6 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     fetch_bytes += p2p::kMessageHeaderBytes + response_payload;
     fetched_postings += rl.postings->size();
     resolved.insert(term);
-    // The response carries the serving peer's term version (one uint64),
-    // which is what makes the fetched list cacheable and later checkable.
-    const cache::TermSource term_source{target, peer.TermVersion(term)};
-    sources_used.emplace(term, term_source);
     if (explain_on) {
       obs::TermExplain te;
       te.term = dict.TermOf(term);
@@ -798,14 +811,21 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
       term_explain_idx[term] = term_explains.size();
       term_explains.push_back(std::move(te));
     }
-    if (cache_.posting_enabled()) {
-      cache::CachedPostings entry;
-      entry.postings = stored != nullptr
-                           ? std::move(stored)
-                           : StoredPostings::Empty(peer.store_options());
-      entry.source = term_source;
-      cache_.InsertPostings(querying_peer, term, std::move(entry),
-                            tracer_.clock().now_ms());
+    if (cache_.enabled()) {
+      // The response carries the serving peer's term version (one
+      // uint64), which is what makes the fetched list cacheable and later
+      // checkable.
+      const cache::TermSource term_source{target, peer.TermVersion(term)};
+      if (cache_.result_enabled()) sources_used.emplace(term, term_source);
+      if (cache_.posting_enabled()) {
+        cache::CachedPostings entry;
+        entry.postings = stored != nullptr
+                             ? std::move(stored)
+                             : StoredPostings::Empty(peer.store_options());
+        entry.source = term_source;
+        cache_.InsertPostings(querying_peer, term, std::move(entry),
+                              tracer_.clock().now_ms());
+      }
     }
     lists.push_back(std::move(rl));
 
@@ -846,13 +866,13 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
         latency_.RequestMs(1) +
         latency_.TransferMs(fetch_bytes - fetch_bytes_before));
     fetch_span.Annotate("term", dict.TermOf(term));
-    fetch_span.Annotate(
-        "peer_id", StrFormat("%llu", static_cast<unsigned long long>(target)));
-    fetch_span.Annotate(
-        "bytes", StrFormat("%llu", static_cast<unsigned long long>(
-                                       fetch_bytes - fetch_bytes_before)));
-    fetch_span.Annotate(
-        "postings", StrFormat("%zu", fetched_postings - postings_before));
+    fetch_span.Annotatef("peer_id", "%llu",
+                         static_cast<unsigned long long>(target));
+    fetch_span.Annotatef(
+        "bytes", "%llu",
+        static_cast<unsigned long long>(fetch_bytes - fetch_bytes_before));
+    fetch_span.Annotatef("postings", "%zu",
+                         fetched_postings - postings_before);
     if (wall_on) fetch_wall_ns += obs::MonotonicNowNs() - fetch_start_ns;
   }
 
@@ -860,8 +880,8 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   // apply the Lee et al. similarity. The document frequency is the indexed
   // document frequency n'_k (the list length) and N is the fixed constant
   // of Section 4.
-  obs::ScopedSpan rank_span(&tracer_, "rank", PeerNameOf(querying_peer));
-  rank_span.Annotate("postings", StrFormat("%zu", fetched_postings));
+  obs::ScopedSpan rank_span(&tracer_, "rank", querying_peer);
+  rank_span.Annotatef("postings", "%zu", fetched_postings);
   tracer_.clock().AdvanceMs(latency_.RankMs(fetched_postings));
   // The plan's pre-ranking is reusable iff the commit fetched exactly the
   // snapshots the plan ranked — same lists, same order, by pointer
@@ -879,16 +899,16 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   }
   // The accumulation itself lives in core/ranking.h (shared with
   // PlanSearch's pre-rank and the live ClusterNode); the hooks feed the
-  // explain ledger without perturbing the arithmetic.
-  RankAccumMap acc;
-  // Per-doc (term, w_Qj*w_ij) contributions, collected only for the
-  // explain ledger.
+  // explain ledger without perturbing the arithmetic. Per-doc distinct-term
+  // counts and (term, w_Qj*w_ij) contributions are collected only for it.
+  std::unordered_map<DocId, uint32_t> distinct_terms;
   std::unordered_map<DocId, std::vector<std::pair<std::string, double>>>
       contribs;
   struct ExplainHooks {
     bool on;
     const std::unordered_map<TermId, size_t>& idx;
     std::vector<obs::TermExplain>& explains;
+    std::unordered_map<DocId, uint32_t>& distinct_terms;
     std::unordered_map<DocId,
                        std::vector<std::pair<std::string, double>>>& contribs;
     const TermDict& dict;
@@ -901,6 +921,9 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     void OnContribution(TermId term, const PostingEntry& p, double w) {
       if (on) contribs[p.doc].push_back({dict.TermOf(term), w});
     }
+    void OnCandidate(DocId doc, uint32_t distinct) {
+      if (on) distinct_terms[doc] = distinct;
+    }
   };
   // perf.search.rank times the ranking wherever it ran: in the plan for a
   // reused pre-ranking, here otherwise.
@@ -910,10 +933,10 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     results = plan.ranked;
   } else {
     const uint64_t rank_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
-    ExplainHooks hooks{explain_on, term_explain_idx, term_explains, contribs,
-                       dict};
+    ExplainHooks hooks{explain_on,     term_explain_idx, term_explains,
+                       distinct_terms, contribs,         dict};
     results = RankRetrievedLists(lists, config_.idf_corpus_size,
-                                 fetched_postings, k, &acc, hooks);
+                                 fetched_postings, k, hooks);
     if (wall_on) rank_wall_ns = obs::MonotonicNowNs() - rank_start_ns;
   }
   rank_span.End();
@@ -954,9 +977,8 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   metrics_.Observe("latency.search.fetch_ms", fetch_ms);
   metrics_.Observe("latency.search.rank_ms", rank_ms);
   metrics_.Observe("latency.search.total_ms", route_ms + fetch_ms + rank_ms);
-  search_span.Annotate("results", StrFormat("%zu", results.size()));
-  search_span.Annotate("total_ms",
-                       StrFormat("%.3f", route_ms + fetch_ms + rank_ms));
+  search_span.Annotatef("results", "%zu", results.size());
+  search_span.Annotatef("total_ms", "%.3f", route_ms + fetch_ms + rank_ms);
   if (explain_on) {
     obs::SearchExplain se;
     se.issuance = issuance;
@@ -970,8 +992,9 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
       obs::CandidateExplain ce;
       ce.doc = results[i].doc;
       ce.score = results[i].score;
-      if (auto it = acc.find(results[i].doc); it != acc.end()) {
-        ce.distinct_terms = it->second.distinct_terms;
+      if (auto it = distinct_terms.find(results[i].doc);
+          it != distinct_terms.end()) {
+        ce.distinct_terms = it->second;
       }
       if (auto it = contribs.find(results[i].doc); it != contribs.end()) {
         ce.contributions = std::move(it->second);
@@ -1028,9 +1051,8 @@ void SpriteSystem::PlanSearch(const corpus::Query& query, size_t k,
                                                 : EmptyPostingList());
     fetched += plan.ranked_over.back()->size();
   }
-  // core/ranking.h runs the identical accumulation SearchImpl uses (same
-  // reserve, same per-posting association), so the reused scores are
-  // bit-identical.
+  // core/ranking.h runs the identical merge SearchImpl uses over the same
+  // lists in the same order, so the reused scores are bit-identical.
   const bool wall_on = wall_.enabled();
   const uint64_t rank_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
   plan.ranked =
@@ -1132,15 +1154,15 @@ void SpriteSystem::RecordQueryEpoch(
     // peer's bounded history receives its records in seq order.
     obs::ScopedWallTimer commit_wall(&wall_, "perf.epoch.record.commit");
     for (const RecordPlan& plan : plans) {
-      obs::ScopedSpan span(&tracer_, "record.query", PeerNameOf(plan.origin));
-      span.Annotate("query", StrFormat("%u", plan.query_id));
+      obs::ScopedSpan span(&tracer_, "record.query", plan.origin);
+      span.Annotatef("query", "%u", plan.query_id);
       // One history entry per responsible peer: a peer covering several of
       // the query's terms must not burn several slots of its bounded
       // history on the same issuance (the per-term lookups still happen —
       // the origin needs them to find the peers).
       std::unordered_set<PeerId> recorded_at;
       for (size_t t = 0; t < plan.rec.terms.size(); ++t) {
-        obs::ScopedSpan route_span(&tracer_, "route", PeerNameOf(plan.origin));
+        obs::ScopedSpan route_span(&tracer_, "route", plan.origin);
         route_span.Annotate("term", dict.TermOf(plan.rec.terms[t]));
         const StatusOr<dht::ChordRing::LookupResult> target =
             CommitRoute(plan.routes[t]);
@@ -1271,9 +1293,8 @@ void SpriteSystem::RunLearningIteration() {
   for (LearnUnit& unit : units) {
     OwnedDocument& owned = *unit.owned;
     if (is_static) {
-      obs::ScopedSpan grow_span(&tracer_, "learning.grow",
-                                PeerNameOf(unit.owner_id));
-      grow_span.Annotate("doc", StrFormat("%u", unit.doc_id));
+      obs::ScopedSpan grow_span(&tracer_, "learning.grow", unit.owner_id);
+      grow_span.Annotatef("doc", "%u", unit.doc_id);
       ApplyIndexUpdate(unit.owner_id, owned, unit.update);
       if (explain_on) {
         RecordLearningDecisions(unit.owner_id, unit.doc_id, owned, {},
@@ -1282,12 +1303,10 @@ void SpriteSystem::RunLearningIteration() {
       continue;
     }
 
-    obs::ScopedSpan poll_span(&tracer_, "learning.poll",
-                              PeerNameOf(unit.owner_id));
-    poll_span.Annotate("doc", StrFormat("%u", unit.doc_id));
+    obs::ScopedSpan poll_span(&tracer_, "learning.poll", unit.owner_id);
+    poll_span.Annotatef("doc", "%u", unit.doc_id);
     for (size_t t = 0; t < unit.poll_terms.size(); ++t) {
-      obs::ScopedSpan route_span(&tracer_, "route",
-                                 PeerNameOf(unit.owner_id));
+      obs::ScopedSpan route_span(&tracer_, "route", unit.owner_id);
       route_span.Annotate("term", dict.TermOf(unit.poll_terms[t]));
       (void)CommitRoute(unit.routes[t]);
     }
@@ -1298,8 +1317,7 @@ void SpriteSystem::RunLearningIteration() {
     size_t peer_idx = 0;
     for (const auto& [peer_id, my_terms] : unit.by_peer) {
       const size_t nrecs = unit.recs_per_peer[peer_idx++];
-      obs::ScopedSpan exchange_span(&tracer_, "poll.exchange",
-                                    PeerNameOf(peer_id));
+      obs::ScopedSpan exchange_span(&tracer_, "poll.exchange", peer_id);
       uint64_t exchange_bytes =
           p2p::kMessageHeaderBytes + unit.poll_terms.size() * p2p::kTermBytes;
       (void)bus_.BeginExchange(peer_id, p2p::MessageType::kPollRequest,
@@ -1314,7 +1332,7 @@ void SpriteSystem::RunLearningIteration() {
           p2p::kMessageHeaderBytes + nrecs * p2p::kQueryRecordBytes;
       tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
                                 latency_.TransferMs(exchange_bytes));
-      exchange_span.Annotate("queries", StrFormat("%zu", nrecs));
+      exchange_span.Annotatef("queries", "%zu", nrecs);
     }
     // Advance the cursors only for terms whose indexing peer was
     // actually polled. A term whose route failed keeps its old cursor:
@@ -1375,8 +1393,7 @@ void SpriteSystem::ReplicateIndexes() {
     const dht::ChordNode* node = ring_.node(peer_id);
     if (node == nullptr || !node->alive) continue;
     if (peer.num_terms() == 0) continue;
-    obs::ScopedSpan push_span(&tracer_, "replication.push",
-                              PeerNameOf(peer_id));
+    obs::ScopedSpan push_span(&tracer_, "replication.push", peer_id);
     const std::vector<PeerId> succs =
         ring_.SuccessorsOf(peer_id, config_.replication_factor);
     uint64_t push_bytes = 0;
@@ -1408,10 +1425,10 @@ void SpriteSystem::ReplicateIndexes() {
                        latency_.OperationMs(0, pushes, push_bytes));
       tracer_.clock().AdvanceMs(latency_.OperationMs(0, pushes, push_bytes));
     }
-    push_span.Annotate("pushes", StrFormat(
-        "%llu", static_cast<unsigned long long>(pushes)));
-    push_span.Annotate("bytes", StrFormat(
-        "%llu", static_cast<unsigned long long>(push_bytes)));
+    push_span.Annotatef("pushes", "%llu",
+                        static_cast<unsigned long long>(pushes));
+    push_span.Annotatef("bytes", "%llu",
+                        static_cast<unsigned long long>(push_bytes));
   }
 }
 
@@ -1514,8 +1531,8 @@ Status SpriteSystem::UnshareDocument(DocId doc) {
     return Status::NotFound(StrFormat("document %u is not shared", doc));
   }
   const PeerId owner_id = it->second;
-  obs::ScopedSpan span(&tracer_, "unshare.document", PeerNameOf(owner_id));
-  span.Annotate("doc", StrFormat("%u", doc));
+  obs::ScopedSpan span(&tracer_, "unshare.document", owner_id);
+  span.Annotatef("doc", "%u", doc);
   OwnerPeer& owner = owners_.at(owner_id);
   OwnedDocument* owned = owner.document(doc);
   SPRITE_CHECK(owned != nullptr);
@@ -1536,8 +1553,8 @@ Status SpriteSystem::UpdateDocument(const corpus::Document& doc) {
     return Status::InvalidArgument("updated document is empty; unshare it");
   }
   const PeerId owner_id = it->second;
-  obs::ScopedSpan span(&tracer_, "update.document", PeerNameOf(owner_id));
-  span.Annotate("doc", StrFormat("%u", doc.id));
+  obs::ScopedSpan span(&tracer_, "update.document", owner_id);
+  span.Annotatef("doc", "%u", doc.id);
   OwnedDocument* owned = owners_.at(owner_id).document(doc.id);
   SPRITE_CHECK(owned != nullptr);
 
@@ -1571,7 +1588,7 @@ StatusOr<PeerId> SpriteSystem::JoinPeer(const std::string& name) {
 }
 
 PeerId SpriteSystem::CompleteJoin(PeerId id) {
-  obs::ScopedSpan span(&tracer_, "peer.join", PeerNameOf(id));
+  obs::ScopedSpan span(&tracer_, "peer.join", id);
   indexing_.emplace(id, IndexingPeer(id, config_.history_capacity,
                                      StoreOptionsFromConfig(config_)));
   owners_.emplace(id, OwnerPeer(id));
@@ -1617,9 +1634,8 @@ void SpriteSystem::TransferHandoff(IndexingPeer::Handoff handoff, PeerId to,
     receiver.RecordQuery(record);
   }
   tracer_.clock().AdvanceMs(latency_.TransferMs(handoff_bytes));
-  span.Annotate("handoff_bytes",
-                StrFormat("%llu",
-                          static_cast<unsigned long long>(handoff_bytes)));
+  span.Annotatef("handoff_bytes", "%llu",
+                 static_cast<unsigned long long>(handoff_bytes));
 }
 
 Status SpriteSystem::RebalanceRange() {
@@ -1682,7 +1698,7 @@ Status SpriteSystem::LeavePeer(PeerId id) {
   if (ring_.num_alive() <= 1) {
     return Status::FailedPrecondition("cannot drain the last peer");
   }
-  obs::ScopedSpan span(&tracer_, "peer.leave", PeerNameOf(id));
+  obs::ScopedSpan span(&tracer_, "peer.leave", id);
 
   // Hand every primary inverted list and cached query to the successor.
   const std::vector<PeerId> succs = ring_.SuccessorsOf(id, 1);
@@ -1738,8 +1754,7 @@ size_t SpriteSystem::RunHeartbeats() {
     for (auto& [doc_id, owned] : owner.mutable_documents()) {
       for (const std::string& term : owned.index_terms) {
         const TermId id = TermDict::Global().Intern(term);
-        obs::ScopedSpan probe_span(&tracer_, "heartbeat.probe",
-                                   PeerNameOf(owner_id));
+        obs::ScopedSpan probe_span(&tracer_, "heartbeat.probe", owner_id);
         probe_span.Annotate("term", term);
         const StatusOr<dht::ChordRing::LookupResult> route =
             CommitRoute(ring_.PlanFindSuccessor(owner_id, RingKeyOf(id)));
@@ -1854,7 +1869,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchWithExpansion(
     size_t feedback_docs) {
   // The inner Search() calls and the feedback fetch nest under this root.
   obs::ScopedSpan span(&tracer_, "search.expanded", "system");
-  span.Annotate("query", StrFormat("%u", query.id));
+  span.Annotatef("query", "%u", query.id);
   StatusOr<ir::RankedList> initial =
       Search(query, std::max(k, feedback_docs), /*record=*/true);
   if (!initial.ok()) return initial.status();
@@ -1890,7 +1905,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchWithExpansion(
   tracer_.clock().AdvanceMs(
       latency_.RequestMs(feedback.size()) +
       latency_.TransferMs(feedback_bytes));
-  fetch_span.Annotate("docs", StrFormat("%zu", feedback.size()));
+  fetch_span.Annotatef("docs", "%zu", feedback.size());
   fetch_span.End();
 
   // Score co-occurring candidate terms within the feedback set: damped

@@ -8,10 +8,7 @@ void SortRankedList(RankedList& entries, size_t k) {
   // Bounded selection: (score desc, doc asc) is a total order over the
   // distinct docs of a ranked list, so the surviving top-k prefix is
   // byte-identical to a full sort + truncate.
-  TopKInPlace(entries, k, [](const ScoredDoc& a, const ScoredDoc& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc < b.doc;
-  });
+  TopKInPlace(entries, k, RanksBefore());
 }
 
 int FindRank(const RankedList& list, corpus::DocId doc) {

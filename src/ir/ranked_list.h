@@ -22,6 +22,13 @@ struct ScoredDoc {
 // ranking in the library is deterministic).
 using RankedList = std::vector<ScoredDoc>;
 
+// That order as a comparator: true when `a` ranks before `b`.
+struct RanksBefore {
+  bool operator()(const ScoredDoc& a, const ScoredDoc& b) const {
+    return a.score != b.score ? a.score > b.score : a.doc < b.doc;
+  }
+};
+
 // Sorts `entries` into ranked order and truncates to the top `k`
 // (k == 0 keeps everything).
 void SortRankedList(RankedList& entries, size_t k = 0);

@@ -1,6 +1,7 @@
 #include "net/sim_transport.h"
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace sprite::net {
@@ -89,14 +90,15 @@ void SimTransport::Charge(p2p::MessageType type, uint64_t wire_bytes,
   stats_.CountFrame(type, wire_bytes, frames);
   const bool annotate = tracer_ != nullptr && tracer_->InActiveSpan();
   if (metrics_ == nullptr && !annotate) return;
-  const std::string label(p2p::MessageTypeName(type));
+  const std::string_view label = p2p::MessageTypeName(type);
   if (metrics_ != nullptr) {
     metrics_->Add("net.messages", label, frames);
     metrics_->Add("net.bytes", label, wire_bytes);
   }
   if (annotate) {
-    tracer_->AnnotateAdd("net." + label + ".msgs", frames);
-    tracer_->AnnotateAdd("net." + label + ".bytes", wire_bytes);
+    const std::string prefix = "net." + std::string(label);
+    tracer_->AnnotateAdd(prefix + ".msgs", frames);
+    tracer_->AnnotateAdd(prefix + ".bytes", wire_bytes);
   }
 }
 

@@ -6,35 +6,27 @@
 
 namespace sprite::net {
 
-namespace {
-
-std::string Label(p2p::MessageType type) {
-  return std::string(p2p::MessageTypeName(type));
-}
-
-}  // namespace
-
 void TransportStats::CountFrame(p2p::MessageType type, size_t wire_bytes,
                                 uint64_t frames) {
   frames_[Idx(type)] += frames;
   bytes_[Idx(type)] += wire_bytes;
   if (metrics_ != nullptr && mirror_traffic_) {
-    metrics_->Add("transport.frames", Label(type), frames);
-    metrics_->Add("transport.bytes", Label(type), wire_bytes);
+    metrics_->Add("transport.frames", p2p::MessageTypeName(type), frames);
+    metrics_->Add("transport.bytes", p2p::MessageTypeName(type), wire_bytes);
   }
 }
 
 void TransportStats::CountTimeout(p2p::MessageType type) {
   timeouts_[Idx(type)] += 1;
   if (metrics_ != nullptr) {
-    metrics_->Add("transport.timeouts", Label(type), 1);
+    metrics_->Add("transport.timeouts", p2p::MessageTypeName(type), 1);
   }
 }
 
 void TransportStats::CountRetry(p2p::MessageType type) {
   retries_[Idx(type)] += 1;
   if (metrics_ != nullptr) {
-    metrics_->Add("transport.retries", Label(type), 1);
+    metrics_->Add("transport.retries", p2p::MessageTypeName(type), 1);
   }
 }
 
@@ -50,7 +42,7 @@ void TransportStats::ObserveRtt(p2p::MessageType type, double rtt_us) {
   rtt_count_[Idx(type)] += 1;
   rtt_sum_us_[Idx(type)] += rtt_us;
   if (metrics_ != nullptr && mirror_traffic_) {
-    metrics_->Observe("transport.rtt_us", Label(type), rtt_us);
+    metrics_->Observe("transport.rtt_us", p2p::MessageTypeName(type), rtt_us);
   }
 }
 
@@ -75,7 +67,8 @@ std::string TransportStats::ToString() const {
   for (int i = 0; i < p2p::kNumMessageTypes; ++i) {
     const auto type = static_cast<p2p::MessageType>(i);
     if (FramesOf(type) == 0) continue;
-    out += StrFormat("  %-14s msgs=%10llu bytes=%12llu\n", Label(type).c_str(),
+    const std::string label(p2p::MessageTypeName(type));
+    out += StrFormat("  %-14s msgs=%10llu bytes=%12llu\n", label.c_str(),
                      static_cast<unsigned long long>(FramesOf(type)),
                      static_cast<unsigned long long>(BytesOf(type)));
   }

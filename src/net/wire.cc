@@ -67,6 +67,10 @@ void PutPostings(WireWriter& w, const std::vector<p2p::PostingEntry>& v) {
   for (const auto& e : v) PutPosting(w, e);
 }
 
+// A posting list must be sorted by strictly increasing doc id, as every
+// sender's stored snapshot is: the ranker merges lists under that
+// precondition (core/ranking.h), so an unsorted or repeated doc is
+// rejected here.
 bool GetPostings(WireReader& r, std::vector<p2p::PostingEntry>& out) {
   const uint32_t n = r.U32();
   // Each posting costs 32 payload bytes; a count beyond what the payload
@@ -75,7 +79,10 @@ bool GetPostings(WireReader& r, std::vector<p2p::PostingEntry>& out) {
     return false;
   }
   out.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) out.push_back(GetPosting(r));
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    out.push_back(GetPosting(r));
+    if (i > 0 && out[i].doc <= out[i - 1].doc) return false;
+  }
   return r.ok();
 }
 

@@ -17,43 +17,67 @@ void AppendId(std::string& out, const MetricId& id) {
   }
 }
 
+// The entry for (name, label), created on first touch: only a miss copies
+// the borrowed strings into a MetricId.
+template <typename Map>
+typename Map::mapped_type& Touch(Map& map, std::string_view name,
+                                 std::string_view label,
+                                 bool* inserted = nullptr) {
+  const MetricKey key{name, label};
+  auto it = map.lower_bound(key);
+  const bool miss = it == map.end() || map.key_comp()(key, it->first);
+  if (miss) {
+    it = map.emplace_hint(it, MetricId{std::string(name), std::string(label)},
+                          typename Map::mapped_type());
+  }
+  if (inserted != nullptr) *inserted = miss;
+  return it->second;
+}
+
+template <typename Map>
+const typename Map::mapped_type* Find(const Map& map, std::string_view name,
+                                      std::string_view label) {
+  auto it = map.find(MetricKey{name, label});
+  return it == map.end() ? nullptr : &it->second;
+}
+
 }  // namespace
 
-void MetricsRegistry::Add(const std::string& name, const std::string& label,
+void MetricsRegistry::Add(std::string_view name, std::string_view label,
                           uint64_t delta) {
-  counters_[MetricId{name, label}] += delta;
+  Touch(counters_, name, label) += delta;
 }
 
-uint64_t MetricsRegistry::counter(const std::string& name,
-                                  const std::string& label) const {
-  auto it = counters_.find(MetricId{name, label});
-  return it == counters_.end() ? 0 : it->second;
+uint64_t MetricsRegistry::counter(std::string_view name,
+                                  std::string_view label) const {
+  const uint64_t* value = Find(counters_, name, label);
+  return value == nullptr ? 0 : *value;
 }
 
-void MetricsRegistry::Set(const std::string& name, const std::string& label,
+void MetricsRegistry::Set(std::string_view name, std::string_view label,
                           double value) {
-  gauges_[MetricId{name, label}] = value;
+  Touch(gauges_, name, label) = value;
 }
 
-double MetricsRegistry::gauge(const std::string& name,
-                              const std::string& label) const {
-  auto it = gauges_.find(MetricId{name, label});
-  return it == gauges_.end() ? 0.0 : it->second;
+double MetricsRegistry::gauge(std::string_view name,
+                              std::string_view label) const {
+  const double* value = Find(gauges_, name, label);
+  return value == nullptr ? 0.0 : *value;
 }
 
-void MetricsRegistry::Observe(const std::string& name,
-                              const std::string& label, double value) {
-  auto [it, inserted] = histograms_.try_emplace(MetricId{name, label});
+void MetricsRegistry::Observe(std::string_view name, std::string_view label,
+                              double value) {
+  bool inserted = false;
+  Histogram& hist = Touch(histograms_, name, label, &inserted);
   if (inserted && default_histogram_cap_ > 0) {
-    it->second.SetSampleCap(default_histogram_cap_);
+    hist.SetSampleCap(default_histogram_cap_);
   }
-  it->second.Add(value);
+  hist.Add(value);
 }
 
-const Histogram* MetricsRegistry::histogram(const std::string& name,
-                                            const std::string& label) const {
-  auto it = histograms_.find(MetricId{name, label});
-  return it == histograms_.end() ? nullptr : &it->second;
+const Histogram* MetricsRegistry::histogram(std::string_view name,
+                                            std::string_view label) const {
+  return Find(histograms_, name, label);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -95,10 +119,10 @@ void MetricsRegistry::Clear() {
 namespace {
 
 template <typename Map>
-void EraseName(Map& map, const std::string& name) {
+void EraseName(Map& map, std::string_view name) {
   // MetricId ordering is (name, label), so all labels of `name` form one
   // contiguous range.
-  auto first = map.lower_bound(MetricId{name, ""});
+  auto first = map.lower_bound(MetricKey{name, {}});
   auto last = first;
   while (last != map.end() && last->first.name == name) ++last;
   map.erase(first, last);
@@ -106,7 +130,7 @@ void EraseName(Map& map, const std::string& name) {
 
 }  // namespace
 
-void MetricsRegistry::EraseByName(const std::string& name) {
+void MetricsRegistry::EraseByName(std::string_view name) {
   EraseName(counters_, name);
   EraseName(gauges_, name);
   EraseName(histograms_, name);

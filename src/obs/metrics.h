@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -23,6 +24,25 @@ struct MetricId {
   }
   friend bool operator==(const MetricId& a, const MetricId& b) {
     return a.name == b.name && a.label == b.label;
+  }
+};
+
+// A borrowed (name, label) pair: what lookups search by, so a hit builds no
+// MetricId.
+struct MetricKey {
+  std::string_view name;
+  std::string_view label;
+};
+
+// MetricId's order over both owned and borrowed keys (transparent, so the
+// registry's maps find a MetricKey without converting it).
+struct MetricIdLess {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    const int by_name = std::string_view(a.name).compare(b.name);
+    if (by_name != 0) return by_name < 0;
+    return std::string_view(a.label) < std::string_view(b.label);
   }
 };
 
@@ -76,7 +96,8 @@ struct MetricsSnapshot {
 // The central metrics registry: counters (monotone), gauges (last value
 // wins), and histograms (full-distribution samples), each keyed by name and
 // optional label. Metrics are created on first touch; all operations are
-// O(log n) map lookups, which is ample for the simulation's rates.
+// O(log n) map lookups, which is ample for the simulation's rates. Names
+// and labels are borrowed: only a metric's first touch copies them.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -85,29 +106,27 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // --- Counters ---------------------------------------------------------
-  void Add(const std::string& name, uint64_t delta = 1) {
-    Add(name, std::string(), delta);
+  void Add(std::string_view name, uint64_t delta = 1) {
+    Add(name, std::string_view(), delta);
   }
-  void Add(const std::string& name, const std::string& label, uint64_t delta);
-  uint64_t counter(const std::string& name,
-                   const std::string& label = "") const;
+  void Add(std::string_view name, std::string_view label, uint64_t delta);
+  uint64_t counter(std::string_view name, std::string_view label = {}) const;
 
   // --- Gauges -----------------------------------------------------------
-  void Set(const std::string& name, double value) {
-    Set(name, std::string(), value);
+  void Set(std::string_view name, double value) {
+    Set(name, std::string_view(), value);
   }
-  void Set(const std::string& name, const std::string& label, double value);
-  double gauge(const std::string& name, const std::string& label = "") const;
+  void Set(std::string_view name, std::string_view label, double value);
+  double gauge(std::string_view name, std::string_view label = {}) const;
 
   // --- Histograms -------------------------------------------------------
-  void Observe(const std::string& name, double value) {
-    Observe(name, std::string(), value);
+  void Observe(std::string_view name, double value) {
+    Observe(name, std::string_view(), value);
   }
-  void Observe(const std::string& name, const std::string& label,
-               double value);
+  void Observe(std::string_view name, std::string_view label, double value);
   // The live histogram, or nullptr when never observed.
-  const Histogram* histogram(const std::string& name,
-                             const std::string& label = "") const;
+  const Histogram* histogram(std::string_view name,
+                             std::string_view label = {}) const;
 
   // Sample cap applied to histograms as they are created (existing ones
   // are untouched). 0 — the default — retains every sample, which keeps
@@ -123,16 +142,16 @@ class MetricsRegistry {
   // Removes every counter/gauge/histogram whose name matches exactly,
   // across all labels. Used by component resets (e.g. the sim bus
   // dropping its mirrored net.* counters).
-  void EraseByName(const std::string& name);
+  void EraseByName(std::string_view name);
 
   size_t num_counters() const { return counters_.size(); }
   size_t num_gauges() const { return gauges_.size(); }
   size_t num_histograms() const { return histograms_.size(); }
 
  private:
-  std::map<MetricId, uint64_t> counters_;
-  std::map<MetricId, double> gauges_;
-  std::map<MetricId, Histogram> histograms_;
+  std::map<MetricId, uint64_t, MetricIdLess> counters_;
+  std::map<MetricId, double, MetricIdLess> gauges_;
+  std::map<MetricId, Histogram, MetricIdLess> histograms_;
   size_t default_histogram_cap_ = 0;
 };
 

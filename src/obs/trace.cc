@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -22,6 +23,11 @@ void Tracer::set_options(TraceOptions options) {
   SPRITE_CHECK(stack_.empty());
   options_ = options;
   while (ring_.size() > options_.max_traces) ring_.pop_front();
+}
+
+std::string Tracer::PeerName(uint64_t peer_id) const {
+  if (peer_namer_) return peer_namer_(peer_id);
+  return StrFormat("peer-%llu", static_cast<unsigned long long>(peer_id));
 }
 
 void Tracer::set_time_source(TraceClock* source) {
@@ -134,6 +140,15 @@ void Tracer::AnnotateSpan(SpanId id, const std::string& key,
       return;
     }
   }
+}
+
+void ScopedSpan::Annotatef(std::string_view key, const char* fmt, ...) {
+  if (!open_) return;
+  va_list args;
+  va_start(args, fmt);
+  std::string value = StrFormatV(fmt, args);
+  va_end(args);
+  tracer_->AnnotateSpan(ctx_.span_id, std::string(key), std::move(value));
 }
 
 void Tracer::FinishTrace() {

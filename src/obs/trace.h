@@ -5,8 +5,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sprite::obs {
@@ -158,6 +160,13 @@ class Tracer {
   void set_hop_cost_ms(double ms) { hop_cost_ms_ = ms; }
   double hop_cost_ms() const { return hop_cost_ms_; }
 
+  // Names the peer of a span opened by id (ScopedSpan's peer-id
+  // constructor). Called only for spans that open, so a disabled tracer
+  // names nothing. Unset, a peer is "peer-<id>".
+  using PeerNamer = std::function<std::string(uint64_t)>;
+  void set_peer_namer(PeerNamer namer) { peer_namer_ = std::move(namer); }
+  std::string PeerName(uint64_t peer_id) const;
+
   // Opens a span. With an empty stack this starts a new operation (a new
   // trace); otherwise the span nests under the innermost open span.
   // Returns an invalid context when the tracer is disabled.
@@ -212,6 +221,7 @@ class Tracer {
   SimClock clock_;
   TraceClock* time_source_ = &clock_;
   double hop_cost_ms_ = 50.0;
+  PeerNamer peer_namer_;
   uint64_t id_salt_ = 0;
   uint64_t next_trace_id_ = 1;
   uint64_t next_span_id_ = 1;
@@ -226,13 +236,21 @@ class Tracer {
 // null or disabled) and ends it on destruction or explicit End().
 // Annotations target this span specifically, so they are safe after child
 // spans have opened and closed.
+//
+// A span that did not open (tracer off) formats nothing: give the peer as
+// an id, which Tracer::PeerName resolves only on open, and annotate with
+// borrowed strings or a printf format, which are copied or formatted only
+// while the span is open.
 class ScopedSpan {
  public:
   ScopedSpan(Tracer* tracer, const char* name, const std::string& peer)
       : tracer_(tracer) {
+    if (tracer_ != nullptr && tracer_->enabled()) Open(name, peer);
+  }
+  ScopedSpan(Tracer* tracer, const char* name, uint64_t peer_id)
+      : tracer_(tracer) {
     if (tracer_ != nullptr && tracer_->enabled()) {
-      ctx_ = tracer_->BeginSpan(name, peer);
-      open_ = ctx_.valid();
+      Open(name, tracer_->PeerName(peer_id));
     }
   }
   ~ScopedSpan() { End(); }
@@ -240,9 +258,15 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void Annotate(const std::string& key, std::string value) {
-    if (open_) tracer_->AnnotateSpan(ctx_.span_id, key, std::move(value));
+  void Annotate(std::string_view key, std::string_view value) {
+    if (open_) {
+      tracer_->AnnotateSpan(ctx_.span_id, std::string(key),
+                            std::string(value));
+    }
   }
+  // printf-style annotation, formatted only while the span is open.
+  void Annotatef(std::string_view key, const char* fmt, ...)
+      __attribute__((format(printf, 3, 4)));
   void End() {
     if (open_) {
       tracer_->EndSpan();
@@ -252,6 +276,11 @@ class ScopedSpan {
   const TraceContext& context() const { return ctx_; }
 
  private:
+  void Open(const char* name, const std::string& peer) {
+    ctx_ = tracer_->BeginSpan(name, peer);
+    open_ = ctx_.valid();
+  }
+
   Tracer* tracer_;
   TraceContext ctx_;
   bool open_ = false;

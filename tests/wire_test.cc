@@ -393,6 +393,28 @@ TEST(WireMalformed, AbsurdCollectionCount) {
   EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
 }
 
+// Posting lists must arrive sorted by strictly increasing doc id (the
+// ranker's merge precondition); every message that carries one says so.
+TEST(WireMalformed, DescendingPostingsAreCorruption) {
+  StatusOr<QueryResponse> out = ParseQueryResponse(
+      ToFrame(QueryResponse{{MakeEntry(9), MakeEntry(4)}, 1}));
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+}
+
+TEST(WireMalformed, RepeatedPostingDocIsCorruption) {
+  StatusOr<QueryResponse> out = ParseQueryResponse(
+      ToFrame(QueryResponse{{MakeEntry(3), MakeEntry(5), MakeEntry(5)}, 1}));
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
+  Replicate rep;
+  rep.term = kTerm;
+  rep.postings = {MakeEntry(2), MakeEntry(2)};
+  StatusOr<Replicate> parsed = ParseReplicate(ToFrame(rep));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+}
+
 // --- Byte-accounting parity audit -------------------------------------------
 //
 // frame bytes == kMessageHeaderBytes + <sim cost-model payload> + Δ, with

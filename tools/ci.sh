@@ -224,7 +224,7 @@ grep -v 'written to' "$SMOKE_DIR/par4.out" >"$SMOKE_DIR/par4.tbl"
 cmp "$SMOKE_DIR/par1.tbl" "$SMOKE_DIR/par4.tbl"
 echo "parallel smoke OK"
 
-echo "== sim golden guard: dumps byte-identical to pre-transport goldens =="
+echo "== sim golden guard: dumps byte-identical to goldens, trace hash pinned =="
 # The transport refactor's core promise (ISSUE 8): with the sim backend —
 # the default everywhere — every metric and time-series dump is byte-for-
 # byte what the pre-Transport code produced. The goldens were captured
@@ -234,6 +234,17 @@ echo "== sim golden guard: dumps byte-identical to pre-transport goldens =="
   --timeseries-csv="$SMOKE_DIR/golden_ts.csv" >/dev/null
 cmp tests/golden/fig4a_d200_p16_metrics.json "$SMOKE_DIR/golden_metrics.json"
 cmp tests/golden/fig4a_d200_p16_timeseries.csv "$SMOKE_DIR/golden_ts.csv"
+# Traces too: the same workload's trace JSONL (11 MB, identical from run to
+# run) must hash to the recorded digest, so no span name, peer or
+# annotation drifts.
+./build/bench/fig4a_num_answers --docs=200 --peers=16 \
+  --trace-jsonl="$SMOKE_DIR/golden_trace.jsonl" >/dev/null
+trace_sha=$(sha256sum "$SMOKE_DIR/golden_trace.jsonl" | cut -d' ' -f1)
+if [ "$trace_sha" != "$(cat tests/golden/fig4a_d200_p16_trace.sha256)" ]; then
+  echo "fig4a trace JSONL sha256 $trace_sha differs from" \
+    "tests/golden/fig4a_d200_p16_trace.sha256" >&2
+  exit 1
+fi
 echo "sim golden guard OK"
 
 echo "== cluster smoke: three live daemons vs the simulation =="
@@ -298,6 +309,11 @@ fi
 if ./build/tools/sprite_cli search "$SMOKE_DIR/corpus.tsv" "peer search" \
     --metrics-json="$SMOKE_DIR/missing/dir/metrics.json" >/dev/null 2>&1; then
   echo "sprite_cli search exited 0 with an unwritable --metrics-json" >&2
+  exit 1
+fi
+if ./build/bench/fig4a_num_answers --docs=200 --peers=16 \
+    --metrics-json="$SMOKE_DIR/missing/dir/metrics.json" >/dev/null 2>&1; then
+  echo "fig4a_num_answers exited 0 with an unwritable --metrics-json" >&2
   exit 1
 fi
 echo "CLI error smoke OK"
