@@ -1,9 +1,12 @@
 #ifndef SPRITE_COMMON_STRING_UTIL_H_
 #define SPRITE_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdarg>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace sprite {
@@ -28,6 +31,17 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Trims ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
+
+// True when all of `text` is a decimal number that fits the unsigned `T`:
+// no sign, no spaces, nothing before or after the digits. The one parser
+// for numbers from flags, URLs and request bodies.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  static_assert(std::is_unsigned_v<T>);
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -1,6 +1,7 @@
 #include "net/cluster.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -31,6 +32,70 @@ core::QueryRecord FromWire(const wire::WireQueryRecord& record) {
     local.terms.push_back(dict.Intern(term));
   }
   return local;
+}
+
+// Marks `frame` as sent under `span`, so the transport's net.call span and
+// the receiving daemon's serve span nest under it.
+void StampContext(const obs::TraceContext& span, wire::Frame& frame) {
+  if (!span.valid()) return;
+  frame.flags |= wire::kFlagTraced;
+  frame.trace_id = static_cast<uint32_t>(span.trace_id);
+  frame.parent_span = static_cast<uint32_t>(span.span_id);
+}
+
+// One operation's calls: issues them in order, at most
+// ClusterNode::kMaxInFlight unanswered at once, hands each reply to
+// `on_reply` and runs `on_done` after the last. A reply may arrive inline
+// (self-addressed frames, in-process transports) or from a later poll
+// round; Pump's loop keeps inline replies from recursing.
+class FanOut : public std::enable_shared_from_this<FanOut> {
+ public:
+  // Sends call i; the transport runs the callback once with its reply.
+  using Issue = std::function<void(size_t, Transport::CallDone)>;
+  using OnReply = std::function<void(size_t, StatusOr<wire::Frame>)>;
+
+  FanOut(size_t count, Issue issue, OnReply on_reply,
+         std::function<void()> on_done)
+      : count_(count),
+        issue_(std::move(issue)),
+        on_reply_(std::move(on_reply)),
+        on_done_(std::move(on_done)) {}
+
+  void Pump() {
+    if (pumping_) return;
+    pumping_ = true;
+    while (issued_ < count_ &&
+           issued_ - answered_ < ClusterNode::kMaxInFlight) {
+      const size_t i = issued_++;
+      issue_(i, [self = shared_from_this(), i](StatusOr<wire::Frame> reply) {
+        self->on_reply_(i, std::move(reply));
+        ++self->answered_;
+        self->Pump();
+      });
+    }
+    pumping_ = false;
+    if (answered_ == count_ && !done_) {
+      done_ = true;
+      on_done_();
+    }
+  }
+
+ private:
+  const size_t count_;
+  Issue issue_;
+  OnReply on_reply_;
+  std::function<void()> on_done_;
+  size_t issued_ = 0;
+  size_t answered_ = 0;
+  bool pumping_ = false;
+  bool done_ = false;
+};
+
+void RunFanOut(size_t count, FanOut::Issue issue, FanOut::OnReply on_reply,
+               std::function<void()> on_done) {
+  std::make_shared<FanOut>(count, std::move(issue), std::move(on_reply),
+                           std::move(on_done))
+      ->Pump();
 }
 
 }  // namespace
@@ -82,6 +147,13 @@ const wire::NodeInfo& ClusterNode::OwnerOfKey(uint64_t key) const {
   return members_.front();
 }
 
+const wire::NodeInfo* ClusterNode::MemberById(uint64_t id) const {
+  for (const wire::NodeInfo& m : members_) {
+    if (m.id == id) return &m;
+  }
+  return nullptr;
+}
+
 uint64_t ClusterNode::KeyOfTerm(const std::string& term) const {
   // Same formula as the simulation's ring key: truncate the dictionary's
   // precomputed MD5 prefix into the id space, so both worlds agree on term
@@ -119,6 +191,31 @@ StatusOr<wire::Frame> ClusterNode::CallMember(const wire::NodeInfo& node,
   addr.udp_port = node.udp_port;
   addr.tcp_port = node.tcp_port;
   return transport_->Call(addr, frame, DirectCallOptions());
+}
+
+void ClusterNode::CallMemberAsync(const wire::NodeInfo& node,
+                                  wire::Frame frame,
+                                  Transport::CallDone done) {
+  if (node.id == self_.id) {
+    done(HandleFrame(frame));  // see CallMember
+    return;
+  }
+  PeerAddress addr;
+  addr.id = node.id;
+  addr.host = node.host;
+  addr.udp_port = node.udp_port;
+  addr.tcp_port = node.tcp_port;
+  transport_->CallAsync(addr, frame, DirectCallOptions(), std::move(done));
+}
+
+obs::TraceContext ClusterNode::BeginSpan(const obs::TraceContext& parent,
+                                         const char* name) {
+  if (tracer_ == nullptr) return {};
+  return tracer_->BeginSpanUnder(parent, name, self_.name);
+}
+
+void ClusterNode::EndSpan(const obs::TraceContext& span) {
+  if (span.valid()) tracer_->EndSpan(span);
 }
 
 Status ClusterNode::Join(const PeerAddress& bootstrap) {
@@ -341,53 +438,145 @@ wire::WireQueryRecord ClusterNode::MakeWireRecord(
   return record;
 }
 
-Status ClusterNode::RecordQuery(const std::vector<std::string>& raw_terms) {
-  const std::vector<std::string> terms = corpus::DedupTerms(raw_terms);
-  if (terms.empty()) return Status::InvalidArgument("empty query");
-  obs::ScopedSpan span(tracer_, "record.query", self_.name);
-  if (metrics_ != nullptr) metrics_->Add("cluster.queries_recorded", 1);
-  const wire::WireQueryRecord record = MakeWireRecord(terms);
-  // One record per responsible member, even when it serves several of the
+void ClusterNode::RecordQueries(
+    const std::vector<std::vector<std::string>>& queries, RecordDone done) {
+  // One record per responsible member, even when it serves several of a
   // query's terms — exactly one history entry per (member, issuance).
-  std::unordered_set<uint64_t> recorded_at;
-  for (const std::string& term : terms) {
-    const wire::NodeInfo& target = OwnerOfKey(KeyOfTerm(term));
-    if (!recorded_at.insert(target.id).second) continue;
-    wire::QueryRequest req;
-    req.term = term;
-    req.record = record;
-    req.record_only = true;
-    StatusOr<wire::Frame> ack = CallMember(target, ToFrame(req));
-    if (!ack.ok()) return ack.status();
+  struct RecordCall {
+    size_t query = 0;
+    uint64_t member = 0;
+    std::string term;
+  };
+  struct RecordOp {
+    std::vector<wire::WireQueryRecord> records;
+    std::vector<RecordCall> calls;  // grouped by query, in issue order
+    std::vector<size_t> unanswered;        // per query
+    std::vector<obs::TraceContext> spans;  // per query
+    Status first_error;
+    size_t first_error_at = std::numeric_limits<size_t>::max();
+    RecordDone done;
+  };
+  auto op = std::make_shared<RecordOp>();
+  for (const std::vector<std::string>& raw : queries) {
+    const std::vector<std::string> terms = corpus::DedupTerms(raw);
+    if (terms.empty()) {
+      done(Status::InvalidArgument("empty query"));
+      return;
+    }
+    std::unordered_set<uint64_t> recorded_at;
+    size_t members = 0;
+    for (const std::string& term : terms) {
+      const uint64_t member = OwnerOfKey(KeyOfTerm(term)).id;
+      if (!recorded_at.insert(member).second) continue;
+      op->calls.push_back({op->records.size(), member, term});
+      ++members;
+    }
+    op->records.push_back(MakeWireRecord(terms));
+    op->unanswered.push_back(members);
   }
-  return Status::OK();
+  if (metrics_ != nullptr) {
+    metrics_->Add("cluster.queries_recorded", op->records.size());
+  }
+  op->spans.resize(op->records.size());
+  op->done = std::move(done);
+  RunFanOut(
+      op->calls.size(),
+      [this, op](size_t i, Transport::CallDone reply) {
+        const RecordCall& call = op->calls[i];
+        if (i == 0 || op->calls[i - 1].query != call.query) {
+          op->spans[call.query] = BeginSpan({}, "record.query");
+        }
+        wire::QueryRequest req;
+        req.term = call.term;
+        req.record = op->records[call.query];
+        req.record_only = true;
+        wire::Frame frame = ToFrame(req);
+        StampContext(op->spans[call.query], frame);
+        const wire::NodeInfo* member = MemberById(call.member);
+        if (member == nullptr) {
+          reply(Status::Unavailable("member left the view"));
+          return;
+        }
+        CallMemberAsync(*member, std::move(frame), std::move(reply));
+      },
+      [op, this](size_t i, StatusOr<wire::Frame> ack) {
+        const size_t query = op->calls[i].query;
+        if (!ack.ok() && i < op->first_error_at) {
+          op->first_error_at = i;
+          op->first_error = ack.status();
+        }
+        if (--op->unanswered[query] == 0) EndSpan(op->spans[query]);
+      },
+      [op] { op->done(op->first_error); });
 }
 
-StatusOr<ir::RankedList> ClusterNode::Search(
-    const std::vector<std::string>& raw_terms, size_t k) {
-  const std::vector<std::string> terms = corpus::DedupTerms(raw_terms);
-  if (terms.empty()) return Status::InvalidArgument("empty query");
-  obs::ScopedSpan span(tracer_, "search", self_.name);
+void ClusterNode::Search(const std::vector<std::string>& raw_terms, size_t k,
+                         SearchDone done) {
+  struct SearchOp {
+    std::vector<std::string> terms;
+    size_t k = 0;
+    obs::TraceContext span;
+    std::vector<obs::TraceContext> fetches;
+    std::vector<StatusOr<wire::Frame>> replies;
+    SearchDone done;
+  };
+  auto op = std::make_shared<SearchOp>();
+  op->terms = corpus::DedupTerms(raw_terms);
+  if (op->terms.empty()) {
+    done(Status::InvalidArgument("empty query"));
+    return;
+  }
   if (metrics_ != nullptr) metrics_->Add("cluster.searches", 1);
+  op->k = k;
+  op->span = BeginSpan({}, "search");
+  op->fetches.resize(op->terms.size());
+  op->replies.resize(op->terms.size(), Status::Unavailable("unanswered"));
+  op->done = std::move(done);
+  RunFanOut(
+      op->terms.size(),
+      [this, op](size_t i, Transport::CallDone reply) {
+        const std::string& term = op->terms[i];
+        op->fetches[i] = BeginSpan(op->span, "fetch");
+        if (op->fetches[i].valid()) {
+          tracer_->AnnotateSpan(op->fetches[i].span_id, "term", term);
+        }
+        wire::QueryRequest req;
+        req.term = term;
+        wire::Frame frame = ToFrame(req);
+        StampContext(op->fetches[i], frame);
+        CallMemberAsync(OwnerOfKey(KeyOfTerm(term)), std::move(frame),
+                        std::move(reply));
+      },
+      [this, op](size_t i, StatusOr<wire::Frame> reply) {
+        EndSpan(op->fetches[i]);
+        op->replies[i] = std::move(reply);
+      },
+      [this, op] {
+        StatusOr<ir::RankedList> ranked = RankReplies(
+            op->terms, op->replies, op->k, op->span);
+        EndSpan(op->span);
+        op->done(std::move(ranked));
+      });
+}
+
+StatusOr<ir::RankedList> ClusterNode::RankReplies(
+    const std::vector<std::string>& terms,
+    std::vector<StatusOr<wire::Frame>>& replies, size_t k,
+    const obs::TraceContext& search) {
   TermDict& dict = TermDict::Global();
   std::vector<core::RetrievedList> lists;
   lists.reserve(terms.size());
   size_t fetched = 0;
-  for (const std::string& term : terms) {
-    obs::ScopedSpan fetch(tracer_, "fetch", self_.name);
-    fetch.Annotate("term", term);
-    wire::QueryRequest req;
-    req.term = term;
-    StatusOr<wire::Frame> resp =
-        CallMember(OwnerOfKey(KeyOfTerm(term)), ToFrame(req));
-    if (!resp.ok()) {
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (!replies[i].ok()) {
       if (options_.config.skip_unreachable_terms) continue;
-      return resp.status();
+      return replies[i].status();
     }
-    StatusOr<wire::QueryResponse> parsed = wire::ParseQueryResponse(*resp);
+    StatusOr<wire::QueryResponse> parsed =
+        wire::ParseQueryResponse(*replies[i]);
     if (!parsed.ok()) return parsed.status();
     core::RetrievedList rl;
-    rl.term = dict.Intern(term);
+    rl.term = dict.Intern(terms[i]);
     rl.postings = parsed->postings.empty()
                       ? core::EmptyPostingList()
                       : std::make_shared<core::PostingList>(
@@ -395,12 +584,17 @@ StatusOr<ir::RankedList> ClusterNode::Search(
     fetched += rl.postings->size();
     lists.push_back(std::move(rl));
   }
-  span.Annotate("postings", StrFormat("%zu", fetched));
+  if (search.valid()) {
+    tracer_->AnnotateSpan(search.span_id, "postings",
+                          StrFormat("%zu", fetched));
+  }
   // The simulation's exact ranking arithmetic (core/ranking.h): identical
   // posting sets in identical list order produce bit-identical scores.
-  obs::ScopedSpan rank(tracer_, "rank", self_.name);
-  return core::RankRetrievedLists(lists, options_.config.idf_corpus_size,
-                                  fetched, k);
+  const obs::TraceContext rank = BeginSpan(search, "rank");
+  StatusOr<ir::RankedList> ranked = core::RankRetrievedLists(
+      lists, options_.config.idf_corpus_size, fetched, k);
+  EndSpan(rank);
+  return ranked;
 }
 
 Status ClusterNode::RunLearningIteration() {
@@ -416,10 +610,7 @@ Status ClusterNode::RunLearningIteration() {
     }
     std::vector<core::QueryRecord> pulled_local;
     for (const auto& [member_id, my_terms] : by_member) {
-      const wire::NodeInfo* member = nullptr;
-      for (const wire::NodeInfo& m : members_) {
-        if (m.id == member_id) member = &m;
-      }
+      const wire::NodeInfo* member = MemberById(member_id);
       if (member == nullptr) continue;
       wire::PollRequest poll;
       poll.poll_terms = owned.index_terms;

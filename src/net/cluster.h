@@ -1,6 +1,7 @@
 #ifndef SPRITE_NET_CLUSTER_H_
 #define SPRITE_NET_CLUSTER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,6 +48,13 @@ struct ClusterOptions {
 
 class ClusterNode {
  public:
+  using SearchDone = std::function<void(StatusOr<ir::RankedList>)>;
+  using RecordDone = std::function<void(Status)>;
+
+  // Calls one search or /record batch keeps unanswered at most; the rest
+  // go out in order as replies return.
+  static constexpr size_t kMaxInFlight = 64;
+
   ClusterNode(ClusterOptions options, Transport* transport);
 
   const wire::NodeInfo& self() const { return self_; }
@@ -59,7 +67,9 @@ class ClusterNode {
   // and spans named exactly like the simulation's ("search", "fetch",
   // "rank", "record.query", "share.document", "learning.iteration",
   // "learning.poll", "publish.term") so trace_report analyzes live and sim
-  // dumps uniformly. Either pointer may be null (no-op).
+  // dumps uniformly. Searches and record batches trace under explicit
+  // contexts, so several can be open at once. Either pointer may be null
+  // (no-op).
   void AttachObservability(obs::MetricsRegistry* metrics,
                            obs::Tracer* tracer) {
     metrics_ = metrics;
@@ -91,18 +101,31 @@ class ClusterNode {
                        const std::string& text);
 
   // --- Query plane ------------------------------------------------------
-  // Records one query issuance at every member responsible for one of its
-  // terms (the training half of SPRITE's learning loop).
-  Status RecordQuery(const std::vector<std::string>& raw_terms);
+  // Searches and record batches never wait: their calls go out at once
+  // through Transport::CallAsync (frames to one member in issue order, at
+  // most kMaxInFlight unanswered), and `done` runs once the last reply is
+  // in — possibly before the call returns, since self-addressed frames and
+  // in-process transports answer inline.
+  //
+  // Records each query's issuance at every member responsible for one of
+  // its terms (the training half of SPRITE's learning loop). Every member
+  // appends the records in issue order. `done` gets OK, or the first error
+  // in issue order; an empty query fails the batch before anything is
+  // sent.
+  void RecordQueries(const std::vector<std::vector<std::string>>& queries,
+                     RecordDone done);
   // One SPRITE learning iteration over the documents owned here: poll the
   // responsible members for fresh query records, retune each document's
-  // index-term set, publish/withdraw the changes.
+  // index-term set, publish/withdraw the changes. Blocks on each call.
   Status RunLearningIteration();
   // Fetches each term's inverted list from its responsible member and
   // ranks locally — the querying-peer algorithm of Section 4, sharing
   // core/ranking.h with the simulation. k = 0 returns all candidates.
-  StatusOr<ir::RankedList> Search(const std::vector<std::string>& raw_terms,
-                                  size_t k);
+  // Lists are ranked in term order whatever order replies arrive in, so
+  // scores are bitwise those of the simulation; on failure `done` gets
+  // the first error in term order.
+  void Search(const std::vector<std::string>& raw_terms, size_t k,
+              SearchDone done);
 
   // --- Persistence (src/store, DESIGN.md §15) ---------------------------
   // Writes this node's index half (term spellings, versions, compressed
@@ -129,6 +152,18 @@ class ClusterNode {
  private:
   StatusOr<wire::Frame> CallMember(const wire::NodeInfo& node,
                                    wire::Frame frame);
+  void CallMemberAsync(const wire::NodeInfo& node, wire::Frame frame,
+                       Transport::CallDone done);
+  const wire::NodeInfo* MemberById(uint64_t id) const;
+  // Ranks a search's replies in term order under `search`'s rank span.
+  StatusOr<ir::RankedList> RankReplies(
+      const std::vector<std::string>& terms,
+      std::vector<StatusOr<wire::Frame>>& replies, size_t k,
+      const obs::TraceContext& search);
+  // Spans of asynchronous operations (no-ops without a tracer).
+  obs::TraceContext BeginSpan(const obs::TraceContext& parent,
+                              const char* name);
+  void EndSpan(const obs::TraceContext& span);
   CallOptions DirectCallOptions() const;
   uint64_t NextSeq();
 

@@ -1,10 +1,13 @@
 #ifndef SPRITE_NET_DAEMON_H_
 #define SPRITE_NET_DAEMON_H_
 
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "net/cluster.h"
@@ -16,8 +19,9 @@
 
 // One live SPRITE process: a SocketTransport (UDP control + TCP bulk), a
 // ClusterNode plugged into it, and an HTTP/JSON frontend, all driven by a
-// single poll loop. Shared between the `sprite_daemon` tool and
-// `sprite_cli serve` so both speak exactly the same protocol.
+// single poll loop on one thread. /search and /record answer from the loop
+// once their replies are in, so neither a slow client nor a pending peer
+// call stalls it; /publish, /learn and join still block on each call.
 namespace sprite::net {
 
 struct DaemonOptions {
@@ -43,7 +47,10 @@ class Daemon {
 
   // Serves until `*stop` becomes true (checked between poll rounds).
   void RunUntil(const std::atomic<bool>& stop);
-  // One bounded poll round; exposed for in-process tests.
+  // One poll round over every transport socket and HTTP connection, then
+  // whatever is ready or due. It waits at most `timeout_ms` (-1: no
+  // limit), and no later than the earliest call deadline, retry or HTTP
+  // deadline. Exposed for in-process tests.
   void PollOnce(int timeout_ms);
 
   ClusterNode& cluster() { return cluster_; }
@@ -70,9 +77,15 @@ class Daemon {
   //                                 (400 when the daemon has no --data-dir)
   //   POST /learn                -> one SPRITE learning iteration
   //   GET  /search?q=...&k=N     -> analyzed query -> ranked {"doc","score"}
-  HttpResponse HandleHttp(const HttpRequest& req);
+  // /search and /record answer through `respond` once their calls are
+  // answered; the rest answer before HandleHttp returns.
+  void HandleHttp(const HttpRequest& req, HttpServer::Responder respond);
 
  private:
+  HttpResponse HandleNow(const HttpRequest& req);
+  void HandleSearch(const HttpRequest& req, HttpServer::Responder respond);
+  void HandleRecord(const HttpRequest& req, HttpServer::Responder respond);
+
   DaemonOptions options_;
   SocketTransport transport_;
   ClusterNode cluster_;
@@ -82,6 +95,7 @@ class Daemon {
   obs::WallClock wall_clock_;
   obs::Tracer tracer_;
   std::chrono::steady_clock::time_point started_at_{};
+  std::vector<pollfd> poll_fds_;  // reused by every PollOnce
 };
 
 }  // namespace sprite::net

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
@@ -113,6 +114,8 @@ class TransportStats {
 // Abstract frame transport.
 class Transport {
  public:
+  using CallDone = std::function<void(StatusOr<wire::Frame>)>;
+
   virtual ~Transport() = default;
 
   // One request/response round trip: sends `request`, returns the peer's
@@ -121,6 +124,15 @@ class Transport {
   virtual StatusOr<wire::Frame> Call(const PeerAddress& to,
                                      const wire::Frame& request,
                                      const CallOptions& opts) = 0;
+
+  // The same round trip without waiting: `done` receives what Call would
+  // return, exactly once, possibly before CallAsync returns. The default
+  // runs Call and answers inline, which keeps in-process backends
+  // synchronous; SocketTransport answers from its poll loop.
+  virtual void CallAsync(const PeerAddress& to, const wire::Frame& request,
+                         const CallOptions& opts, CallDone done) {
+    done(Call(to, request, opts));
+  }
 
   virtual const TransportStats& stats() const = 0;
 };

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,27 @@ TEST(SimTransportFrameTest, DownPeerSurfacesTypedTimeout) {
 
 // --- ClusterNode: in-process three-node cluster -----------------------------
 
+// The sim bus answers every call inline, so a ClusterNode operation over it
+// is done before it returns; these run one and hand back its result.
+StatusOr<ir::RankedList> SearchNow(ClusterNode& node,
+                                   const std::vector<std::string>& terms,
+                                   size_t k) {
+  std::optional<StatusOr<ir::RankedList>> result;
+  node.Search(terms, k, [&result](StatusOr<ir::RankedList> ranked) {
+    result = std::move(ranked);
+  });
+  if (!result.has_value()) return Status::Internal("search still pending");
+  return std::move(*result);
+}
+
+Status RecordNow(ClusterNode& node,
+                 const std::vector<std::vector<std::string>>& queries) {
+  std::optional<Status> result;
+  node.RecordQueries(queries,
+                     [&result](Status status) { result = std::move(status); });
+  return result.value_or(Status::Internal("record still pending"));
+}
+
 const char* const kDocs[][2] = {
     {"Distributed hash tables",
      "distributed hash table routing protocols scale lookup chord pastry "
@@ -292,7 +314,7 @@ TEST_F(ClusterFixture, LifecycleMatchesSimulationBitForBit) {
   // iterations (each node only retunes the documents it owns).
   for (size_t rep = 0; rep < kTrainReps; ++rep) {
     for (size_t i = 0; i < std::size(kQueries); ++i) {
-      ASSERT_TRUE(nodes_[0]->RecordQuery(Terms(kQueries[i])).ok());
+      ASSERT_TRUE(RecordNow(*nodes_[0], {Terms(kQueries[i])}).ok());
     }
   }
   for (size_t i = 0; i < std::size(kDocs); ++i) {
@@ -319,7 +341,7 @@ TEST_F(ClusterFixture, LifecycleMatchesSimulationBitForBit) {
 
   for (size_t i = 0; i < queries.size(); ++i) {
     StatusOr<ir::RankedList> cluster =
-        nodes_[0]->Search(Terms(kQueries[i]), kTopK);
+        SearchNow(*nodes_[0], Terms(kQueries[i]), kTopK);
     StatusOr<ir::RankedList> reference =
         sim.Search(queries[i], kTopK, /*record=*/false);
     ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
@@ -358,13 +380,13 @@ TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
 
   // skip_unreachable_terms (the default, Section 7's first failure scheme):
   // the dead member's terms drop out, the query itself succeeds.
-  StatusOr<ir::RankedList> ranked = nodes_[0]->Search({remote_term}, 10);
+  StatusOr<ir::RankedList> ranked = SearchNow(*nodes_[0], {remote_term}, 10);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   EXPECT_TRUE(ranked->empty());
 
   // Recording at a dead member surfaces the typed timeout, not a hang or a
   // generic failure.
-  const Status recorded = nodes_[0]->RecordQuery({remote_term});
+  const Status recorded = RecordNow(*nodes_[0], {{remote_term}});
   EXPECT_TRUE(recorded.IsDeadlineExceeded());
   EXPECT_GT(bus_.stats().TotalTimeouts(), 0u);
 
@@ -372,7 +394,7 @@ TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
   // next round) and search recovers once the member heals.
   for (auto& node : nodes_) EXPECT_TRUE(node->RunLearningIteration().ok());
   bus_.SetDown(victim, false);
-  ranked = nodes_[0]->Search({remote_term}, 10);
+  ranked = SearchNow(*nodes_[0], {remote_term}, 10);
   ASSERT_TRUE(ranked.ok());
 }
 
@@ -430,7 +452,78 @@ TEST(TransportStatsTest, SimBackendNeverMirrorsRttWallTime) {
   EXPECT_EQ(reg.num_histograms(), 0u);
 }
 
+TEST_F(ClusterFixture, OneRecordBatchEqualsRecordingOneByOne) {
+  // A batch far wider than the in-flight window, answered inline by the sim
+  // bus, records exactly what one call per query does.
+  std::vector<std::vector<std::string>> stream;
+  for (size_t rep = 0; rep < 40; ++rep) {
+    for (const char* q : kQueries) stream.push_back(Terms(q));
+  }
+  SimTransport other_bus;
+  std::vector<std::unique_ptr<ClusterNode>> others;
+  for (const char* name : {"n0", "n1", "n2"}) {
+    others.push_back(std::make_unique<ClusterNode>(
+        ClusterOptions{name, config_}, &other_bus));
+  }
+  for (auto& node : others) {
+    ClusterNode* raw = node.get();
+    other_bus.Register(raw->self().id, [raw](const wire::Frame& f) {
+      return raw->HandleFrame(f);
+    });
+  }
+  PeerAddress bootstrap;
+  bootstrap.id = others[0]->self().id;
+  ASSERT_TRUE(others[1]->Join(bootstrap).ok());
+  ASSERT_TRUE(others[2]->Join(bootstrap).ok());
+
+  ASSERT_TRUE(RecordNow(*nodes_[0], stream).ok());
+  for (const auto& query : stream) {
+    ASSERT_TRUE(RecordNow(*others[0], {query}).ok());
+  }
+  const uint64_t frames =
+      bus_.stats().FramesOf(MessageType::kQueryRequest);
+  EXPECT_GT(frames, ClusterNode::kMaxInFlight);
+  EXPECT_EQ(frames, other_bus.stats().FramesOf(MessageType::kQueryRequest));
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    EXPECT_EQ(nodes_[i]->GetStats().history_records,
+              others[i]->GetStats().history_records);
+  }
+  for (size_t i = 0; i < std::size(kDocs); ++i) {
+    for (auto* set : {&nodes_, &others}) {
+      ASSERT_TRUE((*set)[i % 3]
+                      ->ShareDocument(static_cast<corpus::DocId>(i),
+                                      kDocs[i][0], kDocs[i][1])
+                      .ok());
+    }
+  }
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    ASSERT_TRUE(nodes_[i]->RunLearningIteration().ok());
+    ASSERT_TRUE(others[i]->RunLearningIteration().ok());
+  }
+  for (const char* q : kQueries) {
+    StatusOr<ir::RankedList> batch = SearchNow(*nodes_[0], Terms(q), 10);
+    StatusOr<ir::RankedList> single = SearchNow(*others[0], Terms(q), 10);
+    ASSERT_TRUE(batch.ok() && single.ok());
+    EXPECT_EQ(*batch, *single) << q;
+  }
+  // An empty query fails the batch before anything is sent.
+  const uint64_t before = bus_.stats().TotalFrames();
+  EXPECT_EQ(RecordNow(*nodes_[0], {Terms(kQueries[0]), {}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bus_.stats().TotalFrames(), before);
+}
+
 // --- Daemon HTTP frontend ---------------------------------------------------
+
+// A one-node daemon answers every request before HandleHttp returns: its
+// searches and records only reach itself.
+HttpResponse Answer(Daemon& daemon, const HttpRequest& req) {
+  std::optional<HttpResponse> answer;
+  daemon.HandleHttp(req, [&answer](HttpResponse resp) {
+    answer = std::move(resp);
+  });
+  return answer.value_or(HttpResponse{0, "", "still pending"});
+}
 
 TEST(DaemonHttpTest, SearchRejectsKThatIsNotAWholeNumber) {
   DaemonOptions options;
@@ -441,7 +534,7 @@ TEST(DaemonHttpTest, SearchRejectsKThatIsNotAWholeNumber) {
   publish.method = "POST";
   publish.path = "/publish";
   publish.body = "1\tCats\tcat whiskers fur\n2\tMore cats\tcat purr\n";
-  ASSERT_EQ(daemon.HandleHttp(publish).status, 200);
+  ASSERT_EQ(Answer(daemon, publish).status, 200);
 
   HttpRequest search;
   search.method = "GET";
@@ -449,7 +542,7 @@ TEST(DaemonHttpTest, SearchRejectsKThatIsNotAWholeNumber) {
   search.params["q"] = "cat";
   const auto count_docs = [&](const std::string& k) {
     search.params["k"] = k;
-    const HttpResponse resp = daemon.HandleHttp(search);
+    const HttpResponse resp = Answer(daemon, search);
     EXPECT_EQ(resp.status, 200) << "k=" << k;
     size_t docs = 0;
     for (size_t at = resp.body.find("\"doc\""); at != std::string::npos;
@@ -463,8 +556,33 @@ TEST(DaemonHttpTest, SearchRejectsKThatIsNotAWholeNumber) {
   for (const char* bad : {"abc", "", "10x", "-1", "+1", " 1",
                           "99999999999999999999999"}) {
     search.params["k"] = bad;
-    EXPECT_EQ(daemon.HandleHttp(search).status, 400) << "k=" << bad;
+    EXPECT_EQ(Answer(daemon, search).status, 400) << "k=" << bad;
   }
+}
+
+TEST(DaemonHttpTest, PublishRejectsDocIdThatIsNotAWholeNumber) {
+  DaemonOptions options;
+  options.name = "solo";
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  HttpRequest publish;
+  publish.method = "POST";
+  publish.path = "/publish";
+  for (const char* bad : {"abc", "-1", "12x", "", " 7", "+7", "4294967296",
+                          "4294967295"}) {
+    publish.body = "# header\n" + std::string(bad) + "\tDogs\tdog bark\n";
+    const HttpResponse resp = Answer(daemon, publish);
+    EXPECT_EQ(resp.status, 400) << "id=" << bad;
+    EXPECT_NE(resp.body.find("line 2"), std::string::npos) << resp.body;
+  }
+  publish.body = "4294967294\tLast\tlast id that fits\n";
+  EXPECT_EQ(Answer(daemon, publish).status, 200);
+  HttpRequest stats;
+  stats.method = "GET";
+  stats.path = "/stats";
+  // No malformed id was published under some parsed prefix of it.
+  EXPECT_NE(Answer(daemon, stats).body.find("\"documents\":1,"),
+            std::string::npos);
 }
 
 // --- Trace propagation: the sim bus stays byte-clean ------------------------
@@ -528,7 +646,7 @@ LifecycleDump RunObservedLifecycle(bool attach) {
   EXPECT_TRUE(nodes[2]->Join(bootstrap).ok());
   for (size_t rep = 0; rep < 2; ++rep) {
     for (const char* q : kQueries) {
-      EXPECT_TRUE(nodes[0]->RecordQuery(analyzer.Analyze(q)).ok());
+      EXPECT_TRUE(RecordNow(*nodes[0], {analyzer.Analyze(q)}).ok());
     }
   }
   for (size_t i = 0; i < std::size(kDocs); ++i) {
@@ -540,7 +658,8 @@ LifecycleDump RunObservedLifecycle(bool attach) {
   for (auto& node : nodes) EXPECT_TRUE(node->RunLearningIteration().ok());
   LifecycleDump dump;
   for (const char* q : kQueries) {
-    StatusOr<ir::RankedList> ranked = nodes[0]->Search(analyzer.Analyze(q), 10);
+    StatusOr<ir::RankedList> ranked =
+        SearchNow(*nodes[0], analyzer.Analyze(q), 10);
     EXPECT_TRUE(ranked.ok());
     if (!ranked.ok()) continue;
     for (const auto& scored : *ranked) {

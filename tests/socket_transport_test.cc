@@ -1,6 +1,7 @@
 // SocketTransport connection lifecycle (DESIGN.md §14, Backend 2): callers
-// reuse one pooled TCP connection per peer, redial once when the peer has
-// closed it, and never resend on their own; the serving side keeps
+// keep one TCP connection per peer, pipeline calls on it in issue order,
+// redial once when the peer has closed it, and resend only as their retry
+// policy says, from the poll loop's timer; the serving side keeps
 // connections open in its poll set, buffers partial frames instead of
 // blocking on them, drops only a connection that sent a malformed frame,
 // and caps both connection sets by least-recent use.
@@ -12,7 +13,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -38,6 +42,10 @@ class LoopbackServers {
       server->set_handler(
           [this](const wire::Frame& request) -> StatusOr<wire::Frame> {
             served_.fetch_add(1);
+            {
+              std::lock_guard<std::mutex> lock(mu_);
+              payloads_.push_back(request.payload);
+            }
             wire::Frame reply = request;
             reply.type = MessageType::kQueryResponse;
             return reply;
@@ -71,6 +79,11 @@ class LoopbackServers {
     return addr;
   }
   int served() const { return served_.load(); }
+  // Payloads of every request served, in the order they were served.
+  std::vector<std::vector<uint8_t>> payloads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return payloads_;
+  }
 
  private:
   void Serve() {
@@ -94,6 +107,8 @@ class LoopbackServers {
 
   std::vector<std::unique_ptr<SocketTransport>> servers_;
   std::atomic<int> served_{0};
+  mutable std::mutex mu_;
+  std::vector<std::vector<uint8_t>> payloads_;  // guarded by mu_
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
@@ -298,6 +313,162 @@ TEST(SocketTransportTest, ReplyToAnotherRequestFailsTheCall) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(client.idle_connections(), 0u);
+}
+
+// Polls `transport`'s sockets until `done()` or 5 s pass.
+template <typename Done>
+void PollUntil(SocketTransport& transport, Done done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<pollfd> fds;
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    fds.clear();
+    transport.AppendPollFds(&fds);
+    const int due = transport.NextTimeoutMs();
+    ::poll(fds.data(), fds.size(), due < 0 || due > 10 ? 10 : due);
+    transport.OnPollEvents(fds.data(), fds.size());
+  }
+}
+
+// A TCP listener that completes handshakes but never accepts, reads or
+// answers.
+class SilentPeer {
+ public:
+  SilentPeer() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    addr_.sin_family = AF_INET;
+    addr_.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr_);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr_), len), 0);
+    EXPECT_EQ(::listen(fd_, 8), 0);
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr_), &len),
+              0);
+  }
+  ~SilentPeer() { ::close(fd_); }
+  SilentPeer(const SilentPeer&) = delete;
+  SilentPeer& operator=(const SilentPeer&) = delete;
+
+  int fd() const { return fd_; }
+  PeerAddress address() const {
+    PeerAddress to;
+    to.id = 77;
+    to.host = "127.0.0.1";
+    to.tcp_port = ntohs(addr_.sin_port);
+    return to;
+  }
+
+ private:
+  int fd_ = -1;
+  sockaddr_in addr_{};
+};
+
+TEST(SocketTransportTest, FiftyAsyncCallsDialOnceAndAnswerInIssueOrder) {
+  LoopbackServers servers(1);
+  SocketTransport client(1);
+  std::vector<uint8_t> answered;
+  for (uint8_t i = 0; i < 50; ++i) {
+    wire::Frame request = Request();
+    request.payload = {i};
+    client.CallAsync(servers.address(0), request, Opts(),
+                     [&answered, i](StatusOr<wire::Frame> reply) {
+                       EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+                       EXPECT_EQ(reply.ok() ? reply->payload
+                                            : std::vector<uint8_t>{},
+                                 std::vector<uint8_t>{i});
+                       answered.push_back(i);
+                     });
+  }
+  EXPECT_TRUE(answered.empty());  // nothing blocked waiting on the peer
+  PollUntil(client, [&] { return answered.size() >= 50; });
+  std::vector<uint8_t> in_order(50);
+  for (uint8_t i = 0; i < 50; ++i) in_order[i] = i;
+  EXPECT_EQ(answered, in_order);  // each exactly once, in issue order
+  EXPECT_EQ(client.stats().dials(), 1u);
+  EXPECT_EQ(client.idle_connections(), 1u);
+  std::vector<std::vector<uint8_t>> seen = servers.payloads();
+  ASSERT_EQ(seen.size(), 50u);
+  for (uint8_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(seen[i], std::vector<uint8_t>{i}) << "server order";
+  }
+}
+
+TEST(SocketTransportTest, SilentPeerTimesOutWhileTheLoopServes) {
+  SilentPeer silent;
+  // The caller is also a server, like a daemon.
+  SocketTransport node(1);
+  node.set_handler([](const wire::Frame& request) -> StatusOr<wire::Frame> {
+    wire::Frame reply = request;
+    reply.type = MessageType::kQueryResponse;
+    return reply;
+  });
+  ASSERT_TRUE(node.Bind(SocketTransport::Options{}).ok());
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<Status> failed;
+  double failed_ms = 0;
+  node.CallAsync(silent.address(), Request(), Opts(/*timeout_ms=*/300.0),
+                 [&](StatusOr<wire::Frame> reply) {
+                   failed = reply.status();
+                   failed_ms = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+                 });
+  // Another client's round trip is served while the call waits.
+  std::atomic<double> served_ms{-1};
+  std::thread other([&] {
+    const int fd = RawConnect(node.tcp_port());
+    if (RawRoundTrip(fd, 5)) {
+      served_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    }
+    ::close(fd);
+  });
+  PollUntil(node, [&] { return failed.has_value() && served_ms >= 0; });
+  other.join();
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->code(), StatusCode::kDeadlineExceeded)
+      << failed->ToString();
+  EXPECT_GE(failed_ms, 300.0);
+  EXPECT_LT(failed_ms, 1000.0);
+  EXPECT_GE(served_ms.load(), 0.0);
+  EXPECT_LT(served_ms.load(), 300.0);
+  EXPECT_EQ(node.stats().TimeoutsOf(MessageType::kQueryRequest), 1u);
+  EXPECT_EQ(node.idle_connections(), 0u);  // the timed-out one was closed
+}
+
+TEST(SocketTransportTest, RetrySendsTheCallAgainAfterTheBackoff) {
+  SilentPeer peer;
+  // The peer ignores its first connection's request and answers the
+  // resent one on the second connection.
+  std::thread serve([&peer] {
+    const int first = ::accept(peer.fd(), nullptr, nullptr);
+    std::vector<uint8_t> buf;
+    RawRead(first, &buf);
+    const int second = ::accept(peer.fd(), nullptr, nullptr);
+    RawRead(second, &buf);
+    StatusOr<wire::Frame> request = wire::DecodeFrame(buf);
+    wire::Frame reply = Request(request.ok() ? request->request_id : 0);
+    reply.type = MessageType::kQueryResponse;
+    RawSend(second, wire::EncodeFrame(reply));
+    RawRead(second, &buf);  // returns once the caller closes
+    ::close(first);
+    ::close(second);
+  });
+  SocketTransport client(1);
+  CallOptions opts = Opts(/*timeout_ms=*/200.0, /*retries=*/1);
+  opts.backoff_ms = 100.0;
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<wire::Frame> reply = client.Call(peer.address(), Request(), opts);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  client.Close();
+  serve.join();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_GE(ms, 300.0);  // one timeout, then one backoff
+  EXPECT_EQ(client.stats().TotalRetries(), 1u);
+  EXPECT_EQ(client.stats().TotalTimeouts(), 0u);
+  EXPECT_EQ(client.stats().dials(), 2u);
+  EXPECT_EQ(client.stats().FramesOf(MessageType::kQueryRequest), 2u);
 }
 
 }  // namespace

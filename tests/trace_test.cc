@@ -608,6 +608,80 @@ TEST(TracerTest, BeginRemoteSpanDegradesToLocalSpan) {
   EXPECT_EQ(t.Retained()[0]->spans[0].parent_id, 0u);
 }
 
+TEST(TracerTest, ConcurrentTracesOpenAndCloseByContext) {
+  Tracer t;
+  t.set_enabled(true);
+  // Two operations interleave, and a synchronous one runs on the stack
+  // while both are open: no span nests under another operation's.
+  const TraceContext a = t.BeginSpanUnder({}, "search", "n0");
+  const TraceContext b = t.BeginSpanUnder({}, "search", "n0");
+  ASSERT_TRUE(a.valid() && b.valid());
+  EXPECT_NE(a.trace_id, b.trace_id);
+  const TraceContext a_fetch = t.BeginSpanUnder(a, "fetch", "n0");
+  t.clock().AdvanceMs(1.0);
+  t.BeginSpan("serve.QueryRequest", "n0");
+  EXPECT_EQ(t.current().trace_id, 3u);  // its own trace
+  t.EndSpan();
+  const TraceContext b_fetch = t.BeginSpanUnder(b, "fetch", "n0");
+  t.AnnotateSpan(b_fetch.span_id, "term", "peer");
+  t.clock().AdvanceMs(2.0);
+  t.EndSpan(a_fetch);
+  t.EndSpan(a);
+  EXPECT_EQ(t.num_retained(), 2u);  // the serve trace and a
+  t.EndSpan(b);  // a root may close before its children
+  EXPECT_EQ(t.num_retained(), 2u);
+  t.EndSpan(b_fetch);
+  ASSERT_EQ(t.num_retained(), 3u);
+  EXPECT_EQ(t.num_started(), 3u);
+  for (const Trace* trace : t.Retained()) {
+    for (const Span& s : trace->spans) {
+      EXPECT_EQ(s.trace_id, trace->id);
+      if (s.name == "fetch") {
+        EXPECT_EQ(s.parent_id, trace->spans[0].id);
+        EXPECT_EQ(s.parent_id, trace->id == a.trace_id ? a.span_id : b.span_id);
+      }
+    }
+  }
+  const Trace* b_trace = t.Retained()[1];  // by start time, then id
+  ASSERT_EQ(b_trace->id, b.trace_id);
+  ASSERT_EQ(b_trace->spans.size(), 2u);
+  EXPECT_EQ(b_trace->spans[1].annotations.at("term"), "peer");
+  EXPECT_DOUBLE_EQ(b_trace->spans[1].duration_ms(), 2.0);
+  // Unknown and invalid contexts are ignored.
+  t.EndSpan(b_fetch);
+  t.EndSpan(TraceContext{});
+  EXPECT_EQ(t.num_retained(), 3u);
+}
+
+TEST(TracerTest, SpanUnderTheStackJoinsItsTraceAndMayOutliveIt) {
+  Tracer t;
+  t.set_enabled(true);
+  const TraceContext root = t.BeginSpan("publish.term", "n0");
+  const TraceContext call = t.BeginSpanUnder(root, "net.call", "n0");
+  EXPECT_EQ(call.trace_id, root.trace_id);
+  EXPECT_EQ(t.current().span_id, root.span_id);  // the stack is untouched
+  t.EndSpan();  // the stack empties; the trace waits for its call
+  EXPECT_EQ(t.num_retained(), 0u);
+  EXPECT_FALSE(t.InActiveSpan());
+  t.EndSpan(call);
+  ASSERT_EQ(t.num_retained(), 1u);
+  const Trace* trace = t.Retained()[0];
+  ASSERT_EQ(trace->spans.size(), 2u);
+  EXPECT_EQ(trace->spans[1].parent_id, root.span_id);
+  // A parent in no open trace is adopted like a remote one.
+  const TraceContext adopted = t.BeginSpanUnder({0xabcd, 55}, "net.call", "n0");
+  EXPECT_EQ(adopted.trace_id, 0xabcdu);
+  t.EndSpan(adopted);
+  ASSERT_EQ(t.num_retained(), 2u);
+  EXPECT_EQ(t.Retained()[1]->spans[0].parent_id, 55u);
+  // Disabling aborts open traces.
+  const TraceContext open = t.BeginSpanUnder({}, "search", "n0");
+  t.set_enabled(false);
+  t.set_enabled(true);
+  t.EndSpan(open);
+  EXPECT_EQ(t.num_retained(), 2u);
+}
+
 TEST(TracerTest, DrainJsonlEmptiesRetentionAndKeepsStarted) {
   Tracer t;
   t.set_enabled(true);

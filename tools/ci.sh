@@ -316,6 +316,14 @@ if ./build/bench/fig4a_num_answers --docs=200 --peers=16 \
   echo "fig4a_num_answers exited 0 with an unwritable --metrics-json" >&2
   exit 1
 fi
+# The daemon rejects a malformed number before binding anything; the
+# timeout only bounds a daemon that wrongly started serving.
+rc=0
+timeout 10 ./build/tools/sprite_daemon --terms=5x >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "sprite_daemon --terms=5x exited $rc, want 2" >&2
+  exit 1
+fi
 echo "CLI error smoke OK"
 
 echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
@@ -331,15 +339,16 @@ echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
 echo "hotpath perf gate OK"
 
 if [ "${1:-}" = "--tsan" ]; then
-  echo "== sanitizers: TSan build, parallel suite at 4 threads, socket transport =="
+  echo "== sanitizers: TSan build, parallel suite at 4 threads, socket transport, daemons =="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
   cmake --build build-tsan -j --target parallel_test socket_transport_test \
-    fig4a_num_answers
+    daemon_test fig4a_num_answers
   ./build-tsan/tests/parallel_test
   ./build-tsan/tests/socket_transport_test
+  ./build-tsan/tests/daemon_test
   ./build-tsan/bench/fig4a_num_answers --docs=200 --peers=16 --threads=4 \
     >/dev/null
   echo "TSan OK"

@@ -66,7 +66,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -124,14 +123,6 @@ struct Options {
   // the kill/restart leg of the CI storage smoke.
   std::string recover_from;
 };
-
-// True when all of `text` is an unsigned decimal number that fits `T`.
-template <typename T>
-bool ParseWhole(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && stop == end;
-}
 
 // Parses the shared subcommand flags from argv[first..]. An unknown flag,
 // or a number that is not a whole decimal, is a usage error: it exits 2,

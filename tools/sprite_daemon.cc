@@ -26,61 +26,93 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "common/string_util.h"
 #include "net/daemon.h"
 
 namespace {
+
+using sprite::ParseWhole;
 
 std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
+// Parses a port: a whole decimal number of at most 65535.
+bool ParsePort(std::string_view text, uint16_t* port) {
+  size_t value = 0;
+  if (!ParseWhole(text, &value) ||
+      value > std::numeric_limits<uint16_t>::max()) {
+    return false;
+  }
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   sprite::net::DaemonOptions options;
-  constexpr const char kNameFlag[] = "--name=";
-  constexpr const char kHostFlag[] = "--host=";
-  constexpr const char kJoinFlag[] = "--join=";
-  constexpr const char kDataDirFlag[] = "--data-dir=";
+  sprite::core::SpriteConfig& config = options.config;
+  const std::pair<std::string_view, uint16_t*> ports[] = {
+      {"--udp=", &config.udp_port},
+      {"--tcp=", &config.tcp_port},
+      {"--http=", &config.http_port}};
+  const std::pair<std::string_view, size_t*> counts[] = {
+      {"--terms=", &config.max_index_terms},
+      {"--initial-terms=", &config.initial_terms},
+      {"--per-iter=", &config.terms_per_iteration}};
+  const std::pair<std::string_view, std::string*> strings[] = {
+      {"--name=", &options.name},
+      {"--host=", &config.listen_host},
+      {"--data-dir=", &config.data_dir}};
+  // An unknown flag, or a number that is not a whole decimal in range, is
+  // a usage error: exit 2 rather than start with a silent default.
   for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::strncmp(argv[i], kNameFlag, sizeof(kNameFlag) - 1) == 0) {
-      options.name = argv[i] + sizeof(kNameFlag) - 1;
-    } else if (std::strncmp(argv[i], kHostFlag, sizeof(kHostFlag) - 1) == 0) {
-      options.config.listen_host = argv[i] + sizeof(kHostFlag) - 1;
-    } else if (std::strncmp(argv[i], kJoinFlag, sizeof(kJoinFlag) - 1) == 0) {
-      const std::string target = argv[i] + sizeof(kJoinFlag) - 1;
-      const size_t colon = target.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--join wants HOST:UDPPORT\n");
-        return 2;
-      }
-      options.bootstrap_host = target.substr(0, colon);
-      options.bootstrap_udp = static_cast<uint16_t>(
-          std::strtoul(target.c_str() + colon + 1, nullptr, 10));
-    } else if (std::strncmp(argv[i], kDataDirFlag,
-                            sizeof(kDataDirFlag) - 1) == 0) {
-      options.config.data_dir = argv[i] + sizeof(kDataDirFlag) - 1;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--trace") {
       options.enable_trace = true;
-    } else if (std::sscanf(argv[i], "--udp=%llu", &v) == 1) {
-      options.config.udp_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--tcp=%llu", &v) == 1) {
-      options.config.tcp_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--http=%llu", &v) == 1) {
-      options.config.http_port = static_cast<uint16_t>(v);
-    } else if (std::sscanf(argv[i], "--terms=%llu", &v) == 1) {
-      options.config.max_index_terms = v;
-    } else if (std::sscanf(argv[i], "--initial-terms=%llu", &v) == 1) {
-      options.config.initial_terms = v;
-    } else if (std::sscanf(argv[i], "--per-iter=%llu", &v) == 1) {
-      options.config.terms_per_iteration = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string_view flag =
+        eq == std::string_view::npos ? arg : arg.substr(0, eq + 1);
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
+    bool known = false;
+    bool valid = true;
+    for (const auto& [name, field] : ports) {
+      if (flag != name) continue;
+      known = true;
+      valid = ParsePort(value, field);
+    }
+    for (const auto& [name, field] : counts) {
+      if (flag != name) continue;
+      known = true;
+      valid = ParseWhole(value, field);
+    }
+    for (const auto& [name, field] : strings) {
+      if (flag != name) continue;
+      known = true;
+      *field = std::string(value);
+    }
+    if (flag == "--join=") {
+      known = true;
+      const size_t colon = value.rfind(':');
+      valid = colon != std::string_view::npos &&
+              ParsePort(value.substr(colon + 1), &options.bootstrap_udp);
+      if (valid) options.bootstrap_host = std::string(value.substr(0, colon));
+    }
+    if (!known || !valid) {
+      const char* why = !known             ? "unknown flag"
+                        : flag == "--join=" ? "--join wants HOST:UDPPORT"
+                                            : "not a whole decimal in range";
+      std::fprintf(stderr, "%s: %s\n", why, argv[i]);
       return 2;
     }
   }
