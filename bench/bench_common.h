@@ -10,12 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json_util.h"
 #include "common/string_util.h"
 #include "core/sprite_system.h"
@@ -81,69 +81,31 @@ struct BenchArgs {
   double slo_p95_ms = std::numeric_limits<double>::quiet_NaN();
 };
 
-inline BenchArgs ParseBenchArgs(int argc, char** argv) {
+// Parses the shared bench flags plus `flags`, a bench's own extra flags,
+// in one pass. A usage error (an unknown flag, a malformed value) exits 2.
+inline BenchArgs ParseBenchArgs(int argc, char** argv,
+                                sprite::Flags flags = {}) {
   BenchArgs args;
-  constexpr const char kMetricsFlag[] = "--metrics-json=";
-  constexpr const char kTraceFlag[] = "--trace-json=";
-  constexpr const char kTraceJsonlFlag[] = "--trace-jsonl=";
-  constexpr const char kCacheFlag[] = "--cache=";
-  constexpr const char kTimeSeriesJsonlFlag[] = "--timeseries-jsonl=";
-  constexpr const char kTimeSeriesCsvFlag[] = "--timeseries-csv=";
-  constexpr const char kSloJsonlFlag[] = "--slo-jsonl=";
-  constexpr const char kLearningCurveFlag[] = "--learning-curve-json=";
-  constexpr const char kPerfJsonFlag[] = "--perf-json=";
-  for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    double d = 0.0;
-    if (std::sscanf(argv[i], "--docs=%llu", &v) == 1) {
-      args.docs = static_cast<size_t>(v);
-    } else if (std::sscanf(argv[i], "--peers=%llu", &v) == 1) {
-      args.peers = static_cast<size_t>(v);
-    } else if (std::sscanf(argv[i], "--seed=%llu", &v) == 1) {
-      args.seed = v;
-    } else if (std::sscanf(argv[i], "--threads=%llu", &v) == 1) {
-      args.threads = static_cast<size_t>(v);
-    } else if (std::sscanf(argv[i], "--perf-warmup=%llu", &v) == 1) {
-      args.perf_warmup = static_cast<size_t>(v);
-    } else if (std::sscanf(argv[i], "--perf-reps=%llu", &v) == 1) {
-      args.perf_reps = static_cast<size_t>(v);
-    } else if (std::sscanf(argv[i], "--slo-recall-drop=%lf", &d) == 1) {
-      args.slo_recall_drop = d;
-    } else if (std::sscanf(argv[i], "--slo-gini-max=%lf", &d) == 1) {
-      args.slo_gini_max = d;
-    } else if (std::sscanf(argv[i], "--slo-stale-spike=%lf", &d) == 1) {
-      args.slo_stale_spike = d;
-    } else if (std::sscanf(argv[i], "--slo-p95-ms=%lf", &d) == 1) {
-      args.slo_p95_ms = d;
-    } else if (std::strncmp(argv[i], kMetricsFlag,
-                            sizeof(kMetricsFlag) - 1) == 0) {
-      args.metrics_json = argv[i] + sizeof(kMetricsFlag) - 1;
-    } else if (std::strncmp(argv[i], kTraceJsonlFlag,
-                            sizeof(kTraceJsonlFlag) - 1) == 0) {
-      args.trace_jsonl = argv[i] + sizeof(kTraceJsonlFlag) - 1;
-    } else if (std::strncmp(argv[i], kTraceFlag,
-                            sizeof(kTraceFlag) - 1) == 0) {
-      args.trace_json = argv[i] + sizeof(kTraceFlag) - 1;
-    } else if (std::strncmp(argv[i], kCacheFlag,
-                            sizeof(kCacheFlag) - 1) == 0) {
-      args.cache = argv[i] + sizeof(kCacheFlag) - 1;
-    } else if (std::strncmp(argv[i], kTimeSeriesJsonlFlag,
-                            sizeof(kTimeSeriesJsonlFlag) - 1) == 0) {
-      args.timeseries_jsonl = argv[i] + sizeof(kTimeSeriesJsonlFlag) - 1;
-    } else if (std::strncmp(argv[i], kTimeSeriesCsvFlag,
-                            sizeof(kTimeSeriesCsvFlag) - 1) == 0) {
-      args.timeseries_csv = argv[i] + sizeof(kTimeSeriesCsvFlag) - 1;
-    } else if (std::strncmp(argv[i], kSloJsonlFlag,
-                            sizeof(kSloJsonlFlag) - 1) == 0) {
-      args.slo_jsonl = argv[i] + sizeof(kSloJsonlFlag) - 1;
-    } else if (std::strncmp(argv[i], kLearningCurveFlag,
-                            sizeof(kLearningCurveFlag) - 1) == 0) {
-      args.learning_curve_json = argv[i] + sizeof(kLearningCurveFlag) - 1;
-    } else if (std::strncmp(argv[i], kPerfJsonFlag,
-                            sizeof(kPerfJsonFlag) - 1) == 0) {
-      args.perf_json = argv[i] + sizeof(kPerfJsonFlag) - 1;
-    }
-  }
+  flags.Whole("--docs", &args.docs)
+      .Whole("--peers", &args.peers)
+      .Whole("--seed", &args.seed)
+      .Whole("--threads", &args.threads)
+      .Whole("--perf-warmup", &args.perf_warmup)
+      .Whole("--perf-reps", &args.perf_reps)
+      .Number("--slo-recall-drop", &args.slo_recall_drop)
+      .Number("--slo-gini-max", &args.slo_gini_max)
+      .Number("--slo-stale-spike", &args.slo_stale_spike)
+      .Number("--slo-p95-ms", &args.slo_p95_ms)
+      .String("--metrics-json", &args.metrics_json)
+      .String("--trace-json", &args.trace_json)
+      .String("--trace-jsonl", &args.trace_jsonl)
+      .OneOf("--cache", &args.cache, {"on", "off", "blind"})
+      .String("--timeseries-jsonl", &args.timeseries_jsonl)
+      .String("--timeseries-csv", &args.timeseries_csv)
+      .String("--slo-jsonl", &args.slo_jsonl)
+      .String("--learning-curve-json", &args.learning_curve_json)
+      .String("--perf-json", &args.perf_json)
+      .ParseOrExit(argc, argv);
   return args;
 }
 

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -390,17 +389,11 @@ int RunOnce(const spritebench::BenchArgs& args, const eval::TestBed& bed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
   std::string out_path = "BENCH_hotpath.json";
   size_t rounds = 3;
-  for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::sscanf(argv[i], "--rounds=%llu", &v) == 1) {
-      rounds = static_cast<size_t>(v);
-    }
-  }
+  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(
+      argc, argv,
+      Flags().String("--out", &out_path).Whole("--rounds", &rounds));
   if (rounds == 0) rounds = 1;
   spritebench::PrintHeader("Hot-path micro-benchmark", args);
 

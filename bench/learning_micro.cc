@@ -110,9 +110,9 @@ BENCHMARK(BM_NaiveRelearning)->Arg(100)->Arg(1000)->Arg(10000);
 // mostly capture run-to-run spread of the whole suite).
 int main(int argc, char** argv) {
   using namespace sprite;
-  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
-  // Initialize strips the --benchmark_* flags and ignores ours.
+  // Initialize strips the --benchmark_* flags; the rest must be ours.
   benchmark::Initialize(&argc, argv);
+  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
 
   spritebench::PerfRecorder perf(args, "learning_micro");
   const bool wants_sample = !args.metrics_json.empty() ||

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -301,17 +300,11 @@ int RunOnce(const spritebench::BenchArgs& args, const core::SpriteSystem& sys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
   std::string out_path = "BENCH_storage.json";
   double min_ratio = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    double d = 0.0;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else if (std::sscanf(argv[i], "--min-ratio=%lf", &d) == 1) {
-      min_ratio = d;
-    }
-  }
+  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(
+      argc, argv,
+      Flags().String("--out", &out_path).Number("--min-ratio", &min_ratio));
   spritebench::PrintHeader("Storage micro-benchmark", args);
 
   spritebench::PerfRecorder perf(args, "storage_micro");

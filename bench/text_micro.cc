@@ -104,13 +104,14 @@ BENCHMARK(BM_Md5TermKey);
 BENCHMARK(BM_Md5Block)->Arg(64)->Arg(4096)->Arg(65536);
 
 // Custom main instead of benchmark_main (which rejects unknown flags):
-// parse the shared bench flags first, then let benchmark::Initialize strip
-// its own. --perf-json wraps the whole suite in the repetition harness; no
-// SpriteSystem exists here, so the sidecar reports phase wall times and
-// resources without profiler/worker sections.
+// benchmark::Initialize strips its own --benchmark_* flags, then the
+// shared bench flags parse the rest. --perf-json wraps the whole suite in
+// the repetition harness; no SpriteSystem exists here, so the sidecar
+// reports phase wall times and resources without profiler/worker
+// sections.
 int main(int argc, char** argv) {
-  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
   benchmark::Initialize(&argc, argv);
+  const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
   spritebench::PerfRecorder perf(args, "text_micro");
   // The suite self-times internally, so it runs once — on the first
   // measured rep — rather than once per rep; benchmark 1.7.1 also cannot

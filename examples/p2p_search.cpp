@@ -6,9 +6,9 @@
 //   ./build/examples/p2p_search [--docs=N] [--peers=N] [--seed=N]
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "core/sprite_system.h"
 #include "eval/experiment.h"
 
@@ -24,12 +24,11 @@ struct Args {
 
 Args Parse(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    unsigned long long v = 0;
-    if (std::sscanf(argv[i], "--docs=%llu", &v) == 1) args.docs = v;
-    if (std::sscanf(argv[i], "--peers=%llu", &v) == 1) args.peers = v;
-    if (std::sscanf(argv[i], "--seed=%llu", &v) == 1) args.seed = v;
-  }
+  Flags()
+      .Whole("--docs", &args.docs)
+      .Whole("--peers", &args.peers)
+      .Whole("--seed", &args.seed)
+      .ParseOrExit(argc, argv);
   return args;
 }
 

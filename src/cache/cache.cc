@@ -119,15 +119,6 @@ const CachedResult* CacheManager::LookupResult(PeerId peer,
   return nullptr;
 }
 
-const CachedResult* CacheManager::PeekResult(PeerId peer,
-                                             const ResultKey& key,
-                                             double now_ms) const {
-  if (!options_.result_enabled) return nullptr;
-  auto it = result_tiers_.find(peer);
-  if (it == result_tiers_.end()) return nullptr;
-  return it->second.Peek(key, now_ms);
-}
-
 void CacheManager::InsertResult(PeerId peer, const ResultKey& key,
                                 CachedResult value, double now_ms) {
   if (!options_.result_enabled) return;
@@ -162,14 +153,6 @@ const CachedPostings* CacheManager::LookupPostings(PeerId peer, TermId term,
     PublishGauges(CacheTier::kPosting);
   }
   return nullptr;
-}
-
-const CachedPostings* CacheManager::PeekPostings(PeerId peer, TermId term,
-                                                 double now_ms) const {
-  if (!options_.posting_enabled) return nullptr;
-  auto it = posting_tiers_.find(peer);
-  if (it == posting_tiers_.end()) return nullptr;
-  return it->second.Peek(term, now_ms);
 }
 
 void CacheManager::InsertPostings(PeerId peer, TermId term,

@@ -151,11 +151,6 @@ class CacheManager {
   // pointer stays valid until the next mutating call for the same peer.
   const CachedResult* LookupResult(PeerId peer, const ResultKey& key,
                                    double now_ms);
-  // Side-effect-free variant for the epoch engine's plan phase: honors the
-  // TTL at `now_ms` but records no stats, promotes nothing, and evicts
-  // nothing. The commit phase replays the real Lookup* for the effects.
-  const CachedResult* PeekResult(PeerId peer, const ResultKey& key,
-                                 double now_ms) const;
   void InsertResult(PeerId peer, const ResultKey& key, CachedResult value,
                     double now_ms);
   void InvalidateResult(PeerId peer, const ResultKey& key);
@@ -163,8 +158,6 @@ class CacheManager {
   // --- Posting tier -----------------------------------------------------
   const CachedPostings* LookupPostings(PeerId peer, TermId term,
                                        double now_ms);
-  const CachedPostings* PeekPostings(PeerId peer, TermId term,
-                                     double now_ms) const;
   void InsertPostings(PeerId peer, TermId term, CachedPostings value,
                       double now_ms);
   void InvalidatePostings(PeerId peer, TermId term);

@@ -50,16 +50,6 @@ class LruTtlCache {
     return outcome;
   }
 
-  // Side-effect-free lookup: honors the TTL at `now_ms` but neither
-  // promotes the entry nor evicts an expired one. The epoch engine's plan
-  // phase reads through Peek so concurrent planners leave LRU order and
-  // occupancy untouched; the commit phase re-runs Get for the effects.
-  const V* Peek(const K& key, double now_ms) const {
-    auto it = map_.find(key);
-    if (it == map_.end() || Expired(*it->second, now_ms)) return nullptr;
-    return &it->second->value;
-  }
-
   struct PutOutcome {
     bool replaced = false;  // overwrote an existing entry
     size_t evicted = 0;     // LRU entries pushed out by the capacity limits

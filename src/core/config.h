@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "store/stored_postings.h"
-
 namespace sprite::core {
 
 // How a system chooses the global index terms of a document.
@@ -88,15 +86,10 @@ struct SpriteConfig {
   // simulated time and learning round; benches capture one point per
   // round to export the paper's Fig. 4 convergence curves.
   bool enable_timeseries = false;
-  // Ring-buffer retention of the time series.
-  size_t timeseries_capacity = 1024;
   // Record per-search score decompositions and per-round learning
   // decisions (obs::ExplainRecorder), surfaced by `sprite_cli explain`
   // and `sprite_cli learning-ledger`.
   bool enable_explain = false;
-  // Retained search decompositions (learning decisions have their own,
-  // much larger, default bound).
-  size_t explain_search_capacity = 64;
   // Host-side wall-clock profiler (obs::WallProfiler, DESIGN.md §13):
   // scoped timers around the epoch phases and search hot paths, aggregated
   // under perf.* in a registry separate from the deterministic metrics.
@@ -123,12 +116,6 @@ struct SpriteConfig {
   double cache_ttl_ms = 0.0;
 
   // --- Posting store + persistence (src/store, DESIGN.md §15) -----------
-  // Postings per compressed block: the skip-table granularity of the
-  // in-memory codec and of flushed segment blobs.
-  size_t store_block_size = 64;
-  // Lists shorter than this stay raw entry vectors (the blob header and
-  // per-list owner table would cost more than the delta coding saves).
-  size_t store_compress_min_entries = 8;
   // Root directory for the per-peer durable stores (segments + manifest).
   // Empty disables persistence: Flush()/Recover() fail with
   // kFailedPrecondition and nothing touches the filesystem.
@@ -155,14 +142,6 @@ struct SpriteConfig {
 
   uint64_t seed = 1;
 };
-
-// The store knobs in the shape src/store consumes.
-inline store::StoreOptions StoreOptionsFromConfig(const SpriteConfig& config) {
-  store::StoreOptions options;
-  options.block_size = config.store_block_size;
-  options.compress_min_entries = config.store_compress_min_entries;
-  return options;
-}
 
 }  // namespace sprite::core
 

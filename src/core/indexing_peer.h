@@ -28,15 +28,12 @@ namespace sprite::core {
 // frozen, exactly as if it had been deep-copied.
 class IndexingPeer {
  public:
-  IndexingPeer(PeerId id, size_t history_capacity,
-               store::StoreOptions store_options = {})
+  IndexingPeer(PeerId id, size_t history_capacity)
       : id_(id),
         history_capacity_(history_capacity),
-        store_options_(store_options),
-        empty_(store::StoredPostings::Empty(store_options)) {}
+        empty_(store::StoredPostings::Empty(store::StoreOptions{})) {}
 
   PeerId id() const { return id_; }
-  const store::StoreOptions& store_options() const { return store_options_; }
 
   // --- Inverted index ---------------------------------------------------
   // Adds (or overwrites) the posting of `entry.doc` in `term`'s list.
@@ -104,7 +101,6 @@ class IndexingPeer {
   // The cached list for `term`, or nullptr. Unlike Postings(), this never
   // consults the primary index.
   PostingListPtr CachedPostings(TermId term) const;
-  void ClearCache() { cache_.clear(); }
   size_t num_cached_terms() const { return cache_.size(); }
 
   // --- Responsibility handoff (peer join) --------------------------------
@@ -176,7 +172,6 @@ class IndexingPeer {
  private:
   PeerId id_;
   size_t history_capacity_;
-  store::StoreOptions store_options_;
   StoredPostingsPtr empty_;  // shared base for first-time inserts
   std::unordered_map<TermId, StoredPostingsPtr> index_;
   std::unordered_map<TermId, StoredPostingsPtr> replicas_;

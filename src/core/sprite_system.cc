@@ -52,14 +52,7 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
                              config.result_cache_bytes, config.cache_ttl_ms},
           cache::CacheLimits{config.posting_cache_entries,
                              config.posting_cache_bytes,
-                             config.cache_ttl_ms}}),
-      timeseries_(obs::TimeSeriesOptions{config.timeseries_capacity,
-                                         {},
-                                         {},
-                                         {}}),
-      explain_(obs::ExplainOptions{config.explain_search_capacity,
-                                   obs::ExplainOptions{}.max_candidates,
-                                   obs::ExplainOptions{}.decision_capacity}) {
+                             config.cache_ttl_ms}}) {
   SPRITE_CHECK(config_.num_peers >= 1);
   SPRITE_CHECK(config_.initial_terms >= 1);
   SPRITE_CHECK(config_.max_index_terms >= config_.initial_terms);
@@ -68,8 +61,7 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
     SPRITE_CHECK(id.ok());
     peer_ids_.push_back(id.value());
     indexing_.emplace(id.value(),
-                      IndexingPeer(id.value(), config_.history_capacity,
-                                   StoreOptionsFromConfig(config_)));
+                      IndexingPeer(id.value(), config_.history_capacity));
     owners_.emplace(id.value(), OwnerPeer(id.value()));
   }
   std::sort(peer_ids_.begin(), peer_ids_.end());
@@ -821,7 +813,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
         cache::CachedPostings entry;
         entry.postings = stored != nullptr
                              ? std::move(stored)
-                             : StoredPostings::Empty(peer.store_options());
+                             : StoredPostings::Empty(store::StoreOptions{});
         entry.source = term_source;
         cache_.InsertPostings(querying_peer, term, std::move(entry),
                               tracer_.clock().now_ms());
@@ -1589,8 +1581,7 @@ StatusOr<PeerId> SpriteSystem::JoinPeer(const std::string& name) {
 
 PeerId SpriteSystem::CompleteJoin(PeerId id) {
   obs::ScopedSpan span(&tracer_, "peer.join", id);
-  indexing_.emplace(id, IndexingPeer(id, config_.history_capacity,
-                                     StoreOptionsFromConfig(config_)));
+  indexing_.emplace(id, IndexingPeer(id, config_.history_capacity));
   owners_.emplace(id, OwnerPeer(id));
   peer_ids_.insert(
       std::upper_bound(peer_ids_.begin(), peer_ids_.end(), id), id);
@@ -2002,7 +1993,7 @@ StatusOr<store::PeerStore*> SpriteSystem::StoreFor(PeerId id) {
   auto it = stores_.find(id);
   if (it != stores_.end()) return it->second.get();
   auto ps = std::make_unique<store::PeerStore>(
-      PeerStoreDir(id), id, StoreOptionsFromConfig(config_),
+      PeerStoreDir(id), id, store::StoreOptions{},
       config_.store_compact_threshold);
   SPRITE_RETURN_IF_ERROR(ps->Open());
   store::PeerStore* raw = ps.get();

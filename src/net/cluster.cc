@@ -105,8 +105,7 @@ ClusterNode::ClusterNode(ClusterOptions options, Transport* transport)
       transport_(transport),
       space_(options_.config.id_bits),
       index_(space_.KeyForString(options_.name),
-             options_.config.history_capacity,
-             core::StoreOptionsFromConfig(options_.config)),
+             options_.config.history_capacity),
       owner_(index_.id()) {
   self_.id = index_.id();
   self_.name = options_.name;
@@ -257,8 +256,6 @@ StatusOr<wire::Frame> ClusterNode::HandleFrame(const wire::Frame& frame) {
   switch (frame.type) {
     case p2p::MessageType::kJoinRequest:
       return HandleJoin(frame);
-    case p2p::MessageType::kLookupRequest:
-      return HandleLookup(frame);
     case p2p::MessageType::kPublishTerm:
       return HandlePublish(frame);
     case p2p::MessageType::kWithdrawTerm:
@@ -267,8 +264,6 @@ StatusOr<wire::Frame> ClusterNode::HandleFrame(const wire::Frame& frame) {
       return HandleQuery(frame);
     case p2p::MessageType::kPollRequest:
       return HandlePoll(frame);
-    case p2p::MessageType::kVersionCheck:
-      return HandleVersionCheck(frame);
     default:
       return Status::InvalidArgument("cluster node cannot serve this type");
   }
@@ -282,16 +277,6 @@ StatusOr<wire::Frame> ClusterNode::HandleJoin(const wire::Frame& frame) {
   if (req->announce) AddMember(req->self);
   wire::JoinResponse resp;
   resp.members = members_;
-  return ToFrame(resp);
-}
-
-StatusOr<wire::Frame> ClusterNode::HandleLookup(const wire::Frame& frame) {
-  StatusOr<wire::LookupRequest> req = wire::ParseLookupRequest(frame);
-  if (!req.ok()) return req.status();
-  wire::LookupResponse resp;
-  resp.owner = OwnerOfKey(space_.Truncate(req->key));
-  resp.hops = 1;
-  resp.final = true;  // full membership view: every lookup resolves in one hop
   return ToFrame(resp);
 }
 
@@ -367,26 +352,6 @@ StatusOr<wire::Frame> ClusterNode::HandlePoll(const wire::Frame& frame) {
     out.terms.reserve(rec->terms.size());
     for (const TermId id : rec->terms) out.terms.push_back(dict.TermOf(id));
     resp.records.push_back(std::move(out));
-  }
-  return ToFrame(resp);
-}
-
-StatusOr<wire::Frame> ClusterNode::HandleVersionCheck(
-    const wire::Frame& frame) {
-  StatusOr<wire::VersionCheckRequest> req =
-      wire::ParseVersionCheckRequest(frame);
-  if (!req.ok()) return req.status();
-  if (req->record.has_value()) index_.RecordQuery(FromWire(*req->record));
-  wire::VersionCheckResponse resp;
-  resp.current = 1;
-  for (const auto& [term, version] : req->terms) {
-    // Same two-part test as the sim's checker: still responsible here, and
-    // the list unchanged since the cache captured it.
-    if (OwnerOfKey(KeyOfTerm(term)).id != self_.id ||
-        index_.TermVersion(TermDict::Global().Intern(term)) != version) {
-      resp.current = 0;
-      break;
-    }
   }
   return ToFrame(resp);
 }
@@ -667,7 +632,7 @@ StatusOr<store::PeerStore*> ClusterNode::Store() {
         options_.config.data_dir +
             StrFormat("/peer-%016llx",
                       static_cast<unsigned long long>(self_.id)),
-        self_.id, core::StoreOptionsFromConfig(options_.config),
+        self_.id, store::StoreOptions{},
         options_.config.store_compact_threshold);
     SPRITE_RETURN_IF_ERROR(ps->Open());
     store_ = std::move(ps);

@@ -168,12 +168,10 @@ class ClusterNode {
   uint64_t NextSeq();
 
   StatusOr<wire::Frame> HandleJoin(const wire::Frame& frame);
-  StatusOr<wire::Frame> HandleLookup(const wire::Frame& frame);
   StatusOr<wire::Frame> HandlePublish(const wire::Frame& frame);
   StatusOr<wire::Frame> HandleWithdraw(const wire::Frame& frame);
   StatusOr<wire::Frame> HandleQuery(const wire::Frame& frame);
   StatusOr<wire::Frame> HandlePoll(const wire::Frame& frame);
-  StatusOr<wire::Frame> HandleVersionCheck(const wire::Frame& frame);
 
   wire::WireQueryRecord MakeWireRecord(
       const std::vector<std::string>& deduped_terms);

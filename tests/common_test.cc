@@ -1,5 +1,5 @@
 // Unit tests for src/common: Status, MD5, RNG, Zipf, string
-// utilities, JSON helpers and the histogram.
+// utilities, the command-line parser, JSON helpers and the histogram.
 
 #include <algorithm>
 #include <cmath>
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
 #include "common/histogram.h"
 #include "common/json_util.h"
 #include "common/md5.h"
@@ -373,6 +374,128 @@ TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("plain"), "plain");
 }
 
+// ------------------------------------------------------------------ flags
+
+// Parses `args` (without the program name) against `flags`.
+Status ParseArgs(const Flags& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags.Parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(FlagsTest, EachKindAcceptsItsValidForms) {
+  size_t docs = 0;
+  uint64_t seed = 0;
+  uint16_t port = 1;
+  double ratio = 0.0, drop = 0.0, big = 0.0;
+  std::string out = "unset", cache;
+  bool trace = false;
+  Flags flags;
+  flags.Whole("--docs", &docs)
+      .Whole("--seed", &seed)
+      .Port("--http", &port)
+      .Number("--ratio", &ratio)
+      .Number("--drop", &drop)
+      .Number("--big", &big)
+      .String("--out", &out)
+      .OneOf("--cache", &cache, {"on", "off", "blind"})
+      .Switch("--trace", &trace);
+  ASSERT_TRUE(ParseArgs(flags, {"--docs=200", "--seed=18446744073709551615",
+                                "--http=65535", "--ratio=4", "--drop=-0.02",
+                                "--big=1.5e3", "--out=", "--cache=blind",
+                                "--trace"})
+                  .ok());
+  EXPECT_EQ(docs, 200u);
+  EXPECT_EQ(seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(port, 65535);
+  EXPECT_EQ(ratio, 4.0);
+  EXPECT_EQ(drop, -0.02);
+  EXPECT_EQ(big, 1500.0);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(cache, "blind");
+  EXPECT_TRUE(trace);
+  // Flags are optional, repeatable (the last wins), and port 0 is valid.
+  ASSERT_TRUE(ParseArgs(flags, {"--http=0", "--docs=7", "--docs=8"}).ok());
+  EXPECT_EQ(port, 0);
+  EXPECT_EQ(docs, 8u);
+  EXPECT_TRUE(ParseArgs(flags, {}).ok());
+}
+
+TEST(FlagsTest, RejectsMalformedValuesNamingTheArgument) {
+  size_t docs = 0;
+  uint16_t port = 0;
+  double ratio = 0.0;
+  std::string cache;
+  bool trace = false;
+  Flags flags;
+  flags.Whole("--docs", &docs)
+      .Port("--http", &port)
+      .Number("--ratio", &ratio)
+      .OneOf("--cache", &cache, {"on", "off", "blind"})
+      .Switch("--trace", &trace);
+  for (const char* bad :
+       {"--docs=5x", "--docs=-1", "--docs=+5", "--docs=", "--docs= 5",
+        "--docs=18446744073709551616", "--http=65536", "--http=70000",
+        "--ratio=1.5x", "--ratio=nan", "--ratio=inf", "--ratio=", "--ratio=1e999",
+        "--cache=onn", "--cache=", "--cache=ON", "--thread=4", "--docs",
+        "--trace=1", "-docs=5", "--"}) {
+    const Status parsed = ParseArgs(flags, {bad});
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(EndsWith(parsed.message(), std::string(": ") + bad))
+        << parsed.message();
+  }
+  EXPECT_EQ(ParseArgs(flags, {"--thread=4"}).message(),
+            "unknown flag: --thread=4");
+  EXPECT_EQ(ParseArgs(flags, {"--docs=200x"}).message(),
+            "not a whole decimal number: --docs=200x");
+  EXPECT_EQ(ParseArgs(flags, {"--cache=onn"}).message(),
+            "not one of on|off|blind: --cache=onn");
+}
+
+TEST(FlagsTest, PositionalsFillInOrderAroundFlags) {
+  std::string corpus, keywords;
+  size_t k = 20;
+  Flags flags;
+  flags.String("<corpus.tsv>", &corpus)
+      .String("<keywords>", &keywords)
+      .Whole("--k", &k);
+  ASSERT_TRUE(ParseArgs(flags, {"--k=5", "docs.tsv", "cat whiskers"}).ok());
+  EXPECT_EQ(corpus, "docs.tsv");
+  EXPECT_EQ(keywords, "cat whiskers");
+  EXPECT_EQ(k, 5u);
+  EXPECT_EQ(ParseArgs(flags, {"docs.tsv"}).message(),
+            "missing argument: <keywords>");
+  EXPECT_EQ(ParseArgs(flags, {"a", "b", "c"}).message(),
+            "unexpected argument: c");
+  // A binary without positionals takes none.
+  EXPECT_EQ(ParseArgs(Flags().Whole("--k", &k), {"5"}).message(),
+            "unexpected argument: 5");
+}
+
+TEST(FlagsTest, HostPortSplitsAtTheLastColon) {
+  std::string host = "unset";
+  uint16_t port = 0;
+  Flags flags;
+  flags.HostPort("<host:port>", &host, &port);
+  ASSERT_TRUE(ParseArgs(flags, {"127.0.0.1:7000"}).ok());
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7000);
+  for (const char* bad : {"127.0.0.1", "127.0.0.1:", "127.0.0.1:7000x",
+                          "127.0.0.1:70000", "127.0.0.1:65536", ":7000",
+                          "127.0.0.1:-1"}) {
+    EXPECT_EQ(ParseArgs(flags, {bad}).message(),
+              std::string("not HOST:PORT with a port of at most 65535: ") +
+                  bad);
+    EXPECT_EQ(host, "127.0.0.1") << bad;
+    EXPECT_EQ(port, 7000) << bad;
+  }
+  // As a flag, the same helper serves sprite_daemon --join=.
+  ASSERT_TRUE(
+      ParseArgs(Flags().HostPort("--join", &host, &port), {"--join=h:1"})
+          .ok());
+  EXPECT_EQ(host, "h");
+  EXPECT_EQ(port, 1);
+}
+
 // -------------------------------------------------------------- histogram
 
 TEST(HistogramTest, BasicStats) {
@@ -548,6 +671,20 @@ TEST(JsonUtilTest, NumberFormatsFiniteValues) {
   EXPECT_EQ(JsonNumber(0.0), "0");
   EXPECT_EQ(JsonNumber(2.5), "2.5");
   EXPECT_EQ(JsonNumber(-13.0), "-13");
+}
+
+TEST(JsonUtilTest, FindUndoesEscape) {
+  const std::string name = "a\"b\\c\x01";
+  const std::string line =
+      "{\"name\":\"" + JsonEscape(name) + "\",\"value\":-2.5}";
+  std::string found;
+  ASSERT_TRUE(JsonFindString(line, "name", &found));
+  EXPECT_EQ(found, name);
+  double value = 0.0;
+  ASSERT_TRUE(JsonFindNumber(line, "value", &value));
+  EXPECT_EQ(value, -2.5);
+  EXPECT_FALSE(JsonFindString(line, "label", &found));
+  EXPECT_FALSE(JsonFindNumber(line, "name", &value));
 }
 
 TEST(JsonUtilTest, NumberMapsNonFiniteToNull) {

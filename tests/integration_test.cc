@@ -1,10 +1,8 @@
 // Cross-module integration tests: the paper's headline claims on a reduced
-// bed (SPRITE vs eSearch vs centralized), query expansion, and end-to-end
-// determinism.
+// bed (SPRITE vs eSearch vs centralized) and end-to-end determinism.
 
 #include <gtest/gtest.h>
 
-#include "core/query_expansion.h"
 #include "eval/experiment.h"
 
 namespace sprite {
@@ -109,34 +107,6 @@ TEST_F(IntegrationTest, RebuildingBedIsDeterministic) {
               bed_->workload().queries[i].terms);
   }
   EXPECT_EQ(other.split().train, bed_->split().train);
-}
-
-TEST_F(IntegrationTest, QueryExpansionAddsCoOccurringTerms) {
-  core::LocalContextExpander expander(bed_->corpus(), 10);
-  const corpus::Query& q = bed_->workload().queries[0];
-  ir::RankedList initial = bed_->centralized().Search(q, 10);
-  ASSERT_FALSE(initial.empty());
-  auto extra = expander.ExpansionTerms(q, initial, 5);
-  EXPECT_LE(extra.size(), 5u);
-  EXPECT_FALSE(extra.empty());
-  for (const auto& t : extra) {
-    EXPECT_FALSE(q.ContainsTerm(t)) << t;
-  }
-  corpus::Query expanded = expander.Expand(q, initial, 3);
-  EXPECT_EQ(expanded.size(), q.size() + 3);
-}
-
-TEST_F(IntegrationTest, ExpandedQueryStillFindsRelevantDocs) {
-  core::LocalContextExpander expander(bed_->corpus(), 10);
-  const corpus::Query& q = bed_->workload().queries[0];
-  const auto& relevant = bed_->workload().judgments.Relevant(q.id);
-  ASSERT_FALSE(relevant.empty());
-
-  ir::RankedList initial = bed_->centralized().Search(q, 10);
-  corpus::Query expanded = expander.Expand(q, initial, 3);
-  ir::RankedList after = bed_->centralized().Search(expanded, 20);
-  ir::PrecisionRecall pr = ir::EvaluateTopK(after, 20, relevant);
-  EXPECT_GT(pr.recall, 0.0);
 }
 
 }  // namespace

@@ -299,13 +299,34 @@ echo "storage smoke OK"
 echo "== CLI error smoke: bad flags exit 2, unwritable dumps exit 1 =="
 # A mistyped flag is a usage error, never a silent default, and a dump the
 # caller asked for must not be lost without a failing exit code.
-rc=0
-./build/tools/sprite_cli batch "$SMOKE_DIR/corpus.tsv" \
-  "$SMOKE_DIR/queries.txt" --trian=3 >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "sprite_cli batch --trian=3 exited $rc, want 2" >&2
-  exit 1
-fi
+# usage_error CMD...: CMD exits 2 and names its last argument, the
+# malformed one, on stderr. Every binary parses its command line before
+# any work, so the timeout only bounds one that wrongly started serving.
+usage_error() {
+  rc=0
+  timeout 10 "$@" >/dev/null 2>"$SMOKE_DIR/usage.err" || rc=$?
+  for last; do :; done
+  if [ "$rc" -ne 2 ] || ! grep -qF -- "$last" "$SMOKE_DIR/usage.err"; then
+    echo "$* exited $rc, want 2 naming $last" >&2
+    exit 1
+  fi
+}
+usage_error ./build/tools/sprite_cli batch "$SMOKE_DIR/corpus.tsv" \
+  "$SMOKE_DIR/queries.txt" --trian=3
+usage_error ./build/tools/sprite_cli search "$SMOKE_DIR/corpus.tsv" \
+  "peer search" --cache=onn
+usage_error ./build/tools/sprite_cli trace-report "$SMOKE_DIR/trace.jsonl" \
+  --tpo=3
+# Port 70000 must not wrap to 4464: join exits before it sends a frame.
+usage_error ./build/tools/sprite_cli join 127.0.0.1:70000
+usage_error ./build/bench/fig4a_num_answers --docs=200 --peers=16 --thread=4
+usage_error ./build/bench/fig4a_num_answers --docs=200x
+# A typo in the compression gate's flag must not switch the gate off.
+usage_error ./build/bench/storage_micro --min_ratio=4
+usage_error ./build/bench/hotpath_micro --rounds=2x
+usage_error ./build/tools/bench_compare "$SMOKE_DIR/perf.json" \
+  "$SMOKE_DIR/perf.json" --tolerance=1.5x
+usage_error ./build/examples/p2p_search --docs=10x
 if ./build/tools/sprite_cli search "$SMOKE_DIR/corpus.tsv" "peer search" \
     --metrics-json="$SMOKE_DIR/missing/dir/metrics.json" >/dev/null 2>&1; then
   echo "sprite_cli search exited 0 with an unwritable --metrics-json" >&2
@@ -316,14 +337,8 @@ if ./build/bench/fig4a_num_answers --docs=200 --peers=16 \
   echo "fig4a_num_answers exited 0 with an unwritable --metrics-json" >&2
   exit 1
 fi
-# The daemon rejects a malformed number before binding anything; the
-# timeout only bounds a daemon that wrongly started serving.
-rc=0
-timeout 10 ./build/tools/sprite_daemon --terms=5x >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "sprite_daemon --terms=5x exited $rc, want 2" >&2
-  exit 1
-fi
+# The daemon rejects a malformed number before binding anything.
+usage_error ./build/tools/sprite_daemon --terms=5x
 echo "CLI error smoke OK"
 
 echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="

@@ -26,96 +26,38 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <string>
-#include <string_view>
-#include <utility>
 
-#include "common/string_util.h"
+#include "common/flags.h"
 #include "net/daemon.h"
 
 namespace {
 
-using sprite::ParseWhole;
-
 std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-// Parses a port: a whole decimal number of at most 65535.
-bool ParsePort(std::string_view text, uint16_t* port) {
-  size_t value = 0;
-  if (!ParseWhole(text, &value) ||
-      value > std::numeric_limits<uint16_t>::max()) {
-    return false;
-  }
-  *port = static_cast<uint16_t>(value);
-  return true;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   sprite::net::DaemonOptions options;
   sprite::core::SpriteConfig& config = options.config;
-  const std::pair<std::string_view, uint16_t*> ports[] = {
-      {"--udp=", &config.udp_port},
-      {"--tcp=", &config.tcp_port},
-      {"--http=", &config.http_port}};
-  const std::pair<std::string_view, size_t*> counts[] = {
-      {"--terms=", &config.max_index_terms},
-      {"--initial-terms=", &config.initial_terms},
-      {"--per-iter=", &config.terms_per_iteration}};
-  const std::pair<std::string_view, std::string*> strings[] = {
-      {"--name=", &options.name},
-      {"--host=", &config.listen_host},
-      {"--data-dir=", &config.data_dir}};
-  // An unknown flag, or a number that is not a whole decimal in range, is
-  // a usage error: exit 2 rather than start with a silent default.
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--trace") {
-      options.enable_trace = true;
-      continue;
-    }
-    const size_t eq = arg.find('=');
-    const std::string_view flag =
-        eq == std::string_view::npos ? arg : arg.substr(0, eq + 1);
-    const std::string_view value =
-        eq == std::string_view::npos ? std::string_view() : arg.substr(eq + 1);
-    bool known = false;
-    bool valid = true;
-    for (const auto& [name, field] : ports) {
-      if (flag != name) continue;
-      known = true;
-      valid = ParsePort(value, field);
-    }
-    for (const auto& [name, field] : counts) {
-      if (flag != name) continue;
-      known = true;
-      valid = ParseWhole(value, field);
-    }
-    for (const auto& [name, field] : strings) {
-      if (flag != name) continue;
-      known = true;
-      *field = std::string(value);
-    }
-    if (flag == "--join=") {
-      known = true;
-      const size_t colon = value.rfind(':');
-      valid = colon != std::string_view::npos &&
-              ParsePort(value.substr(colon + 1), &options.bootstrap_udp);
-      if (valid) options.bootstrap_host = std::string(value.substr(0, colon));
-    }
-    if (!known || !valid) {
-      const char* why = !known             ? "unknown flag"
-                        : flag == "--join=" ? "--join wants HOST:UDPPORT"
-                                            : "not a whole decimal in range";
-      std::fprintf(stderr, "%s: %s\n", why, argv[i]);
-      return 2;
-    }
-  }
+  sprite::Flags(
+      "sprite_daemon [--name=NAME] [--host=IP] [--udp=P] [--tcp=P] "
+      "[--http=P] [--join=HOST:UDPPORT] [--terms=N] [--initial-terms=N] "
+      "[--per-iter=N] [--data-dir=PATH] [--trace]")
+      .String("--name", &options.name)
+      .String("--host", &config.listen_host)
+      .Port("--udp", &config.udp_port)
+      .Port("--tcp", &config.tcp_port)
+      .Port("--http", &config.http_port)
+      .HostPort("--join", &options.bootstrap_host, &options.bootstrap_udp)
+      .Whole("--terms", &config.max_index_terms)
+      .Whole("--initial-terms", &config.initial_terms)
+      .Whole("--per-iter", &config.terms_per_iteration)
+      .String("--data-dir", &config.data_dir)
+      .Switch("--trace", &options.enable_trace)
+      .ParseOrExit(argc, argv);
 
   sprite::net::Daemon daemon(options);
   const sprite::Status started = daemon.Start();
