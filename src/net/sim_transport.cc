@@ -16,15 +16,6 @@ double BackoffMs(const CallOptions& opts, size_t retry_index) {
 
 }  // namespace
 
-bool SimTransport::Reachable(p2p::PeerId id) const {
-  if (down_.count(id) != 0) return false;
-  if (handlers_.count(id) != 0) return true;
-  // Fall back to the cost-model liveness view when no handler registry is
-  // in use (the SpriteSystem seam).
-  if (reachable_) return reachable_(id);
-  return false;
-}
-
 StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
                                          const wire::Frame& request,
                                          const CallOptions& opts) {
