@@ -44,7 +44,7 @@ namespace spritebench {
 // dump the retained span trees as Chrome trace-event JSON (Perfetto) /
 // structured JSONL.
 // --cache=on|off|blind selects the querying-peer cache mode on benches
-// that honour it (cache_effect; see ApplyCacheMode).
+// that honour it (cache_effect; see core::ApplyCacheMode).
 // --timeseries-jsonl=PATH / --timeseries-csv=PATH enable the per-round
 // time-series recorder and dump the captured points (one per learning
 // round / capture site).
@@ -99,7 +99,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
       .String("--metrics-json", &args.metrics_json)
       .String("--trace-json", &args.trace_json)
       .String("--trace-jsonl", &args.trace_jsonl)
-      .OneOf("--cache", &args.cache, {"on", "off", "blind"})
+      .OneOf("--cache", &args.cache, sprite::core::kCacheModes)
       .String("--timeseries-jsonl", &args.timeseries_jsonl)
       .String("--timeseries-csv", &args.timeseries_csv)
       .String("--slo-jsonl", &args.slo_jsonl)
@@ -334,18 +334,6 @@ inline void MaybeWriteLearningCurveJson(
   }
   json += "\n  ]\n}\n";
   WriteDumpOrExit(args.learning_curve_json, json, "learning curve");
-}
-
-// Applies --cache= to `config`: "on" enables both querying-peer tiers with
-// version validation, "blind" enables them without validation (staleness
-// is measured instead of prevented), "off"/"" leaves caching disabled.
-inline void ApplyCacheMode(const BenchArgs& args,
-                           sprite::core::SpriteConfig& config) {
-  if (args.cache == "on" || args.cache == "blind") {
-    config.enable_result_cache = true;
-    config.enable_posting_cache = true;
-    config.cache_validate = args.cache == "on";
-  }
 }
 
 // Turns on tracing for `sys` when a --trace-json/--trace-jsonl flag was

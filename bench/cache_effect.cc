@@ -90,7 +90,7 @@ void RunOnce(const spritebench::BenchArgs& args, const eval::TestBed& bed,
              spritebench::PerfRecorder& perf) {
   spritebench::PerfRecorder::Phase train_phase(perf, "train");
   core::SpriteConfig cached_config = spritebench::DefaultSpriteConfig(args);
-  spritebench::ApplyCacheMode(args, cached_config);
+  core::ApplyCacheMode(args.cache, cached_config);
   spritebench::ApplyObsFlags(args, cached_config);
   perf.ApplyConfig(cached_config);
   core::SpriteSystem cached(cached_config);

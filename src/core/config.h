@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace sprite::core {
 
@@ -142,6 +143,18 @@ struct SpriteConfig {
 
   uint64_t seed = 1;
 };
+
+// The --cache= modes of sprite_cli and the benches (DESIGN.md §9): "on"
+// enables both querying-peer tiers with version validation, "blind"
+// without it (staleness is measured instead of prevented); "off" and ""
+// leave caching disabled.
+inline const std::vector<std::string> kCacheModes = {"on", "off", "blind"};
+inline void ApplyCacheMode(const std::string& mode, SpriteConfig& config) {
+  if (mode != "on" && mode != "blind") return;
+  config.enable_result_cache = true;
+  config.enable_posting_cache = true;
+  config.cache_validate = mode == "on";
+}
 
 }  // namespace sprite::core
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/string_util.h"
+#include "text/term_dict.h"
 
 namespace sprite::core {
 
@@ -208,6 +210,52 @@ std::vector<const QueryRecord*> IndexingPeer::CollectQueriesForPoll(
     out.push_back(&q);
   }
   return out;
+}
+
+IndexingPeerStore::IndexingPeerStore(const SpriteConfig& config, PeerId id)
+    : directory_(config.data_dir.empty()
+                     ? ""
+                     : config.data_dir +
+                           StrFormat("/peer-%016llx",
+                                     static_cast<unsigned long long>(id))),
+      id_(id),
+      compact_threshold_(config.store_compact_threshold) {}
+
+Status IndexingPeerStore::Open() {
+  if (store_ != nullptr) return Status::OK();
+  if (directory_.empty()) {
+    return Status::FailedPrecondition("SpriteConfig::data_dir is not set");
+  }
+  auto ps = std::make_unique<store::PeerStore>(
+      directory_, id_, store::StoreOptions{}, compact_threshold_);
+  SPRITE_RETURN_IF_ERROR(ps->Open());
+  store_ = std::move(ps);
+  return Status::OK();
+}
+
+Status IndexingPeerStore::Flush(const IndexingPeer& peer) {
+  SPRITE_RETURN_IF_ERROR(Open());
+  const TermDict& dict = TermDict::Global();
+  std::vector<store::PeerStore::TermState> live;
+  live.reserve(peer.index().size());
+  for (const auto& [term, stored] : peer.index()) {
+    store::PeerStore::TermState state;
+    state.term = dict.TermOf(term);
+    state.version = peer.TermVersion(term);
+    state.postings = stored;
+    live.push_back(std::move(state));
+  }
+  return store_->Flush(std::move(live));
+}
+
+Status IndexingPeerStore::Recover(IndexingPeer& peer) {
+  SPRITE_RETURN_IF_ERROR(Open());
+  TermDict& dict = TermDict::Global();
+  for (store::PeerStore::TermState& state : store_->TakeRecovered()) {
+    peer.RestoreTerm(dict.Intern(state.term), std::move(state.postings),
+                     state.version);
+  }
+  return Status::OK();
 }
 
 }  // namespace sprite::core

@@ -4,12 +4,16 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+#include "core/config.h"
 #include "core/types.h"
 #include "dht/id_space.h"
+#include "store/peer_store.h"
 #include "store/stored_postings.h"
 
 namespace sprite::core {
@@ -178,6 +182,31 @@ class IndexingPeer {
   std::unordered_map<TermId, StoredPostingsPtr> cache_;
   std::unordered_map<TermId, uint64_t> term_versions_;
   std::deque<QueryRecord> history_;  // oldest at front
+};
+
+// The durable store of one indexing peer (DESIGN.md §15): a PeerStore in
+// <config.data_dir>/peer-<ring id as 16 hex digits>, opened on first use and
+// kept open so repeated flushes stay incremental. Ring ids derive from peer
+// names, so a restarted process maps each directory back to its peer. The
+// simulation keeps one per indexing peer, a live node one for itself.
+class IndexingPeerStore {
+ public:
+  IndexingPeerStore(const SpriteConfig& config, PeerId id);
+
+  // Commits `peer`'s index: term spellings, versions and posting blobs.
+  // FailedPrecondition when config.data_dir is empty, here and in Recover.
+  Status Flush(const IndexingPeer& peer);
+  // Replays the store into a freshly constructed `peer`, re-interning the
+  // spellings and reinstating the persisted term versions.
+  Status Recover(IndexingPeer& peer);
+
+ private:
+  Status Open();
+
+  std::string directory_;  // empty without a data_dir
+  PeerId id_;
+  size_t compact_threshold_;
+  std::unique_ptr<store::PeerStore> store_;  // null until first use
 };
 
 // Among `candidate_terms` (each paired with its ring key), returns the

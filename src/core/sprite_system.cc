@@ -1982,61 +1982,22 @@ size_t SpriteSystem::TotalIndexedTerms() const {
   return total;
 }
 
-std::string SpriteSystem::PeerStoreDir(PeerId id) const {
-  // Ring ids are stable across restarts (derived from the peer's name), so
-  // a recovered process maps each directory back to the same peer.
-  return config_.data_dir +
-         StrFormat("/peer-%016llx", static_cast<unsigned long long>(id));
-}
-
-StatusOr<store::PeerStore*> SpriteSystem::StoreFor(PeerId id) {
-  auto it = stores_.find(id);
-  if (it != stores_.end()) return it->second.get();
-  auto ps = std::make_unique<store::PeerStore>(
-      PeerStoreDir(id), id, store::StoreOptions{},
-      config_.store_compact_threshold);
-  SPRITE_RETURN_IF_ERROR(ps->Open());
-  store::PeerStore* raw = ps.get();
-  stores_.emplace(id, std::move(ps));
-  return raw;
-}
-
 Status SpriteSystem::Flush() {
-  if (config_.data_dir.empty()) {
-    return Status::FailedPrecondition("SpriteConfig::data_dir is not set");
-  }
-  const TermDict& dict = TermDict::Global();
   for (const auto& [peer_id, peer] : indexing_) {
     const dht::ChordNode* node = ring_.node(peer_id);
     if (node == nullptr || !node->alive) continue;
-    StatusOr<store::PeerStore*> ps = StoreFor(peer_id);
-    if (!ps.ok()) return ps.status();
-    std::vector<store::PeerStore::TermState> live;
-    live.reserve(peer.index().size());
-    for (const auto& [term, stored] : peer.index()) {
-      store::PeerStore::TermState state;
-      state.term = dict.TermOf(term);
-      state.version = peer.TermVersion(term);
-      state.postings = stored;
-      live.push_back(std::move(state));
-    }
-    SPRITE_RETURN_IF_ERROR((*ps)->Flush(std::move(live)));
+    SPRITE_RETURN_IF_ERROR(
+        stores_.try_emplace(peer_id, config_, peer_id).first->second.Flush(
+            peer));
   }
   return Status::OK();
 }
 
 Status SpriteSystem::Recover() {
-  if (config_.data_dir.empty()) {
-    return Status::FailedPrecondition("SpriteConfig::data_dir is not set");
-  }
-  TermDict& dict = TermDict::Global();
   for (auto& [peer_id, peer] : indexing_) {
-    StatusOr<store::PeerStore*> ps = StoreFor(peer_id);
-    if (!ps.ok()) return ps.status();
-    for (store::PeerStore::TermState& state : (*ps)->TakeRecovered()) {
-      peer.RestoreTerm(dict.Intern(state.term), std::move(state.postings),
-                       state.version);
-    }
+    SPRITE_RETURN_IF_ERROR(
+        stores_.try_emplace(peer_id, config_, peer_id).first->second.Recover(
+            peer));
   }
   return Status::OK();
 }

@@ -19,9 +19,10 @@
 
 // One live SPRITE process: a SocketTransport (UDP control + TCP bulk), a
 // ClusterNode plugged into it, and an HTTP/JSON frontend, all driven by a
-// single poll loop on one thread. /search and /record answer from the loop
-// once their replies are in, so neither a slow client nor a pending peer
-// call stalls it; /publish, /learn and join still block on each call.
+// single poll loop on one thread. /search, /record, /publish and /learn
+// answer from the loop once their replies are in, so neither a slow client
+// nor a pending peer call stalls it. Only join blocks: it runs over UDP in
+// Start(), before the loop serves.
 namespace sprite::net {
 
 struct DaemonOptions {
@@ -53,11 +54,8 @@ class Daemon {
   // deadline. Exposed for in-process tests.
   void PollOnce(int timeout_ms);
 
-  ClusterNode& cluster() { return cluster_; }
   SocketTransport& transport() { return transport_; }
   HttpServer& http() { return http_; }
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  obs::Tracer& tracer() { return tracer_; }
 
   // The HTTP surface (also reachable in-process for tests):
   //   GET  /health               -> {"name","id","git_commit","build_type",
@@ -70,21 +68,24 @@ class Daemon {
   //   GET  /stats                -> membership + index counters
   //   GET  /members              -> the full member list
   //   POST /publish              -> TSV body, one "<id>\t<title>\t<text>"
-  //                                 per line; shares each document
+  //                                 per line; shares all or none (409 for
+  //                                 an id shared already or twice)
   //   POST /record               -> one raw query per line; analyzes and
   //                                 records each at the responsible members
   //   POST /flush                -> persist the index half to the data dir
   //                                 (400 when the daemon has no --data-dir)
   //   POST /learn                -> one SPRITE learning iteration
   //   GET  /search?q=...&k=N     -> analyzed query -> ranked {"doc","score"}
-  // /search and /record answer through `respond` once their calls are
-  // answered; the rest answer before HandleHttp returns.
+  // /search, /record, /publish and /learn answer through `respond` once
+  // their calls are answered (a /publish or /learn while this daemon's
+  // previous one runs gets 409); the rest answer before HandleHttp returns.
   void HandleHttp(const HttpRequest& req, HttpServer::Responder respond);
 
  private:
   HttpResponse HandleNow(const HttpRequest& req);
   void HandleSearch(const HttpRequest& req, HttpServer::Responder respond);
   void HandleRecord(const HttpRequest& req, HttpServer::Responder respond);
+  void HandlePublish(const HttpRequest& req, HttpServer::Responder respond);
 
   DaemonOptions options_;
   SocketTransport transport_;

@@ -61,6 +61,7 @@ const char* ReasonPhrase(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 409: return "Conflict";
     case 500: return "Internal Server Error";
     default: return "Unknown";
   }

@@ -23,7 +23,8 @@ namespace sprite::net {
 //   * UDP carries DHT routing and membership control (join, lookup,
 //     heartbeat, advisory) — small datagrams, request/response matched by
 //     request_id, resent with exponential backoff on silence. A UDP call
-//     blocks the caller until its reply or deadline.
+//     blocks the caller until its reply or deadline; the blocking Call()
+//     carries these only (daemon join, `sprite_cli join`).
 //   * TCP carries bulk transfer (publish, withdraw, query, poll,
 //     replicate, key transfer, cache push, version check) as
 //     length-prefixed frame exchanges over long-lived connections.
@@ -39,10 +40,12 @@ namespace sprite::net {
 // CallOptions::retries governs further attempts, each sent after its
 // backoff from the poll loop's timer, never by sleeping. A reply must
 // carry the request_id of the oldest call on its connection; anything
-// else fails that call with kCorruption and closes the connection. When a
-// call's deadline passes its connection is closed: the expired call fails
-// with DeadlineExceeded (a counted timeout once no retry remains), and
-// every other call on the connection fails its attempt with Unavailable.
+// else fails that call with kCorruption and closes the connection. A
+// call's deadline runs from when it becomes the oldest on its connection,
+// so pipelined calls do not spend their time waiting behind each other.
+// When it passes the connection is closed: the expired call fails with
+// DeadlineExceeded (a counted timeout once no retry remains), and every
+// other call on the connection fails its attempt with Unavailable.
 // Connections with no call pending are capped at kMaxConnections, closing
 // the least recently used.
 //
@@ -60,9 +63,8 @@ namespace sprite::net {
 // later than NextTimeoutMs(), and hands the results to OnPollEvents(),
 // which drains datagrams, accepts connections, serves buffered frames,
 // advances outbound calls and fires their timers; inbound requests are
-// dispatched to the registered handler. The synchronous Call() runs the
-// same client, polling only this transport's outbound connections until
-// its own reply arrives, so it serves nothing inbound meanwhile.
+// dispatched to the registered handler. TCP calls go out only through
+// CallAsync(); Call() rejects a TCP message type with InvalidArgument.
 class SocketTransport : public Transport {
  public:
   struct Options {
@@ -101,8 +103,9 @@ class SocketTransport : public Transport {
   // each call runs under a "net.call" span opened under the trace context
   // the outbound frame carries (a new trace when it carries none); the
   // frame is re-stamped with that span (kFlagTraced + header bytes 40-47),
-  // and inbound traced requests are served under an adopted
-  // "serve.<type>" span so the caller's trace stitches across daemons.
+  // and inbound traced requests are served under a "serve.<type>" span
+  // whose parent is the frame's context, so the caller's trace stitches
+  // across daemons.
   // `peer_name` labels this node's spans.
   void set_tracer(obs::Tracer* tracer, std::string peer_name) {
     tracer_ = tracer;
@@ -146,7 +149,7 @@ class SocketTransport : public Transport {
     CallOptions opts;
     size_t attempt = 0;
     Clock::time_point sent_at{};
-    Clock::time_point deadline{};  // of the attempt in flight
+    Clock::time_point deadline{};  // set once oldest on its connection
     Clock::time_point retry_at{};  // of the next attempt, while backing off
     obs::TraceContext span;
     CallDone done;
@@ -191,14 +194,12 @@ class SocketTransport : public Transport {
   void FailAttempt(std::unique_ptr<PendingCall> call, Status status);
   void FinishCall(std::unique_ptr<PendingCall> call,
                   StatusOr<wire::Frame> result);
-  // Closes `conn`: calls whose deadline passed fail with DeadlineExceeded,
-  // the oldest call otherwise with `oldest`, the rest with Unavailable.
+  // Closes `conn`: the oldest call fails with DeadlineExceeded when its
+  // deadline passed, else with `oldest`; the rest with Unavailable.
   void CloseOutbound(OutboundConn& conn, const Status& oldest);
   void OnOutboundEvent(OutboundConn& conn, short revents);
   // Parses complete replies off `conn.in`; false once `conn` was closed.
   bool ReadReplies(OutboundConn& conn);
-  void AppendOutboundPollFds(std::vector<pollfd>* fds) const;
-  void OnOutboundEvents(const pollfd* fds, size_t count);
   // Expires due deadlines, starts due retries, closes surplus idle
   // connections and drops closed ones from outbound_.
   void RunTimers();

@@ -120,7 +120,9 @@ class Transport {
 
   // One request/response round trip: sends `request`, returns the peer's
   // reply. DeadlineExceeded when the peer stays silent through every
-  // attempt; Unavailable when it is known to be gone (e.g. no route).
+  // attempt; Unavailable when it is known to be gone (e.g. no route). The
+  // caller blocks until then, so SocketTransport takes only its UDP control
+  // types here (InvalidArgument for the rest, which use CallAsync).
   virtual StatusOr<wire::Frame> Call(const PeerAddress& to,
                                      const wire::Frame& request,
                                      const CallOptions& opts) = 0;

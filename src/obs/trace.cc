@@ -85,29 +85,6 @@ TraceContext Tracer::BeginSpan(const std::string& name,
   return {active_.id, active_.spans[stack_.back()].id};
 }
 
-TraceContext Tracer::BeginRemoteSpan(const std::string& name,
-                                     const std::string& peer,
-                                     uint64_t trace_id,
-                                     SpanId parent_span_id) {
-  if (!enabled_) return {};
-  if (!stack_.empty() || trace_id == 0) return BeginSpan(name, peer);
-  ++started_;
-  active_ = Trace{};
-  active_.id = trace_id;
-  active_.start_ms = time_source_->now_ms();
-  Span s;
-  s.trace_id = trace_id;
-  s.id = NextSpanId();
-  s.parent_id = parent_span_id;
-  s.name = name;
-  s.peer = peer;
-  s.start_ms = active_.start_ms;
-  s.end_ms = s.start_ms;
-  stack_.push_back(active_.spans.size());
-  active_.spans.push_back(std::move(s));
-  return {active_.id, active_.spans[stack_.back()].id};
-}
-
 void Tracer::EndSpan() {
   if (!enabled_ || stack_.empty()) return;
   active_.spans[stack_.back()].end_ms = time_source_->now_ms();
@@ -197,11 +174,6 @@ Span* Tracer::FindOpenSpan(SpanId id) {
     if (Span* s = find(open.trace)) return s;
   }
   return nullptr;
-}
-
-TraceContext Tracer::current() const {
-  if (!InActiveSpan()) return {};
-  return {active_.id, active_.spans[stack_.back()].id};
 }
 
 void Tracer::Annotate(const std::string& key, std::string value) {

@@ -178,13 +178,6 @@ class Tracer {
   // trace); otherwise the span nests under the innermost open span.
   // Returns an invalid context when the tracer is disabled.
   TraceContext BeginSpan(const std::string& name, const std::string& peer);
-  // Opens the root span of a new operation that continues a trace started
-  // on another node: the operation adopts `trace_id` and the root span's
-  // parent is the remote caller's span. With a span already open, or a
-  // zero trace id, this degrades to a plain BeginSpan.
-  TraceContext BeginRemoteSpan(const std::string& name,
-                               const std::string& peer, uint64_t trace_id,
-                               SpanId parent_span_id);
   // Closes the innermost open span at the current clock; finishing the
   // root applies the retention policy.
   void EndSpan();
@@ -192,7 +185,8 @@ class Tracer {
   // Opens a span under `parent` without touching the stack. The parent
   // may sit in the stack's trace or in any trace opened this way; an
   // invalid parent starts a new trace, and a parent in no open trace
-  // starts one that adopts its trace id (as BeginRemoteSpan does).
+  // starts one that adopts its trace id, so a span serving another node's
+  // frame continues that node's trace under its remote caller's span.
   // Returns an invalid context when the tracer is disabled.
   TraceContext BeginSpanUnder(const TraceContext& parent,
                               const std::string& name,
@@ -202,9 +196,8 @@ class Tracer {
   // unknown context is ignored.
   void EndSpan(const TraceContext& span);
 
-  // True when a span is open (an operation is being traced).
+  // True when a span is open on the stack (an operation is being traced).
   bool InActiveSpan() const { return enabled_ && !stack_.empty(); }
-  TraceContext current() const;
 
   // Annotates the innermost open span (used by layers that do not hold a
   // context, e.g. the sim bus's cost model).

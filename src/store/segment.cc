@@ -32,8 +32,8 @@ uint32_t GetFixed32(const uint8_t* p) {
 
 std::vector<uint8_t> BuildSegment(
     p2p::PeerId peer_id, const std::vector<SegmentRecordIn>& records) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kSegmentMagic, kSegmentMagic + sizeof(kSegmentMagic));
+  std::vector<uint8_t> out(kSegmentMagic,
+                           kSegmentMagic + sizeof(kSegmentMagic));
   PutVarint64(out, peer_id);
   PutVarint64(out, records.size());
   for (const SegmentRecordIn& r : records) {

@@ -29,10 +29,6 @@ namespace {
 // Interns a spelling in the global dictionary (the one the system uses).
 TermId T(const char* term) { return text::TermDict::Global().Intern(term); }
 
-core::PostingListPtr PL(std::vector<core::PostingEntry> entries) {
-  return std::make_shared<core::PostingList>(std::move(entries));
-}
-
 // The immutable store object StoreReplica / CachePostings / the posting
 // cache tier now hold (entries must be doc-sorted).
 core::StoredPostingsPtr SP(std::vector<core::PostingEntry> entries) {

@@ -37,10 +37,6 @@ std::vector<TermId> Ts(const std::vector<std::string>& terms) {
   return ids;
 }
 
-PostingListPtr PL(std::vector<PostingEntry> entries) {
-  return std::make_shared<PostingList>(std::move(entries));
-}
-
 // Wraps doc-sorted entries in the immutable store object StoreReplica /
 // CachePostings now take.
 StoredPostingsPtr SP(std::vector<PostingEntry> entries) {

@@ -81,8 +81,7 @@ TEST(TermDictTest, PrecomputedRingKeyMatchesStringHash) {
   text::TermDict dict;
   for (int bits : {8, 16, 32}) {
     dht::IdSpace space(bits);
-    for (const std::string& term :
-         {"cat", "dog", "supercalifragilistic", ""}) {
+    for (const char* term : {"cat", "dog", "supercalifragilistic", ""}) {
       const text::TermId id = dict.Intern(term);
       EXPECT_EQ(space.Truncate(dict.RawKeyOf(id)), space.KeyForString(term))
           << term << " @" << bits << " bits";

@@ -206,6 +206,25 @@ Status RecordNow(ClusterNode& node,
   return result.value_or(Status::Internal("record still pending"));
 }
 
+Status ShareNow(ClusterNode& node, corpus::DocId id, const std::string& title,
+                const std::string& text) {
+  std::vector<corpus::Document> docs(1);
+  docs[0].id = id;
+  docs[0].title = title;
+  docs[0].terms = text::Analyzer().AnalyzeToVector(text);
+  std::optional<Status> result;
+  node.ShareDocuments(std::move(docs),
+                      [&result](Status status) { result = std::move(status); });
+  return result.value_or(Status::Internal("share still pending"));
+}
+
+Status LearnNow(ClusterNode& node) {
+  std::optional<Status> result;
+  node.RunLearningIteration(
+      [&result](Status status) { result = std::move(status); });
+  return result.value_or(Status::Internal("learning still pending"));
+}
+
 const char* const kDocs[][2] = {
     {"Distributed hash tables",
      "distributed hash table routing protocols scale lookup chord pastry "
@@ -318,13 +337,12 @@ TEST_F(ClusterFixture, LifecycleMatchesSimulationBitForBit) {
     }
   }
   for (size_t i = 0; i < std::size(kDocs); ++i) {
-    ASSERT_TRUE(nodes_[i % 3]
-                    ->ShareDocument(static_cast<corpus::DocId>(i),
-                                    kDocs[i][0], kDocs[i][1])
+    ASSERT_TRUE(ShareNow(*nodes_[i % 3], static_cast<corpus::DocId>(i),
+                         kDocs[i][0], kDocs[i][1])
                     .ok());
   }
   for (size_t iter = 0; iter < kIterations; ++iter) {
-    for (auto& node : nodes_) ASSERT_TRUE(node->RunLearningIteration().ok());
+    for (auto& node : nodes_) ASSERT_TRUE(LearnNow(*node).ok());
   }
 
   size_t documents = 0, indexed_terms = 0, postings = 0;
@@ -355,9 +373,8 @@ TEST_F(ClusterFixture, LifecycleMatchesSimulationBitForBit) {
 
 TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
   for (size_t i = 0; i < std::size(kDocs); ++i) {
-    ASSERT_TRUE(nodes_[i % 3]
-                    ->ShareDocument(static_cast<corpus::DocId>(i),
-                                    kDocs[i][0], kDocs[i][1])
+    ASSERT_TRUE(ShareNow(*nodes_[i % 3], static_cast<corpus::DocId>(i),
+                         kDocs[i][0], kDocs[i][1])
                     .ok());
   }
   // Find a term whose responsible member is a remote node, then partition
@@ -392,7 +409,7 @@ TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
 
   // Learning survives the partition (unreachable members are polled again
   // next round) and search recovers once the member heals.
-  for (auto& node : nodes_) EXPECT_TRUE(node->RunLearningIteration().ok());
+  for (auto& node : nodes_) EXPECT_TRUE(LearnNow(*node).ok());
   bus_.SetDown(victim, false);
   ranked = SearchNow(*nodes_[0], {remote_term}, 10);
   ASSERT_TRUE(ranked.ok());
@@ -490,15 +507,14 @@ TEST_F(ClusterFixture, OneRecordBatchEqualsRecordingOneByOne) {
   }
   for (size_t i = 0; i < std::size(kDocs); ++i) {
     for (auto* set : {&nodes_, &others}) {
-      ASSERT_TRUE((*set)[i % 3]
-                      ->ShareDocument(static_cast<corpus::DocId>(i),
-                                      kDocs[i][0], kDocs[i][1])
+      ASSERT_TRUE(ShareNow(*(*set)[i % 3], static_cast<corpus::DocId>(i),
+                           kDocs[i][0], kDocs[i][1])
                       .ok());
     }
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    ASSERT_TRUE(nodes_[i]->RunLearningIteration().ok());
-    ASSERT_TRUE(others[i]->RunLearningIteration().ok());
+    ASSERT_TRUE(LearnNow(*nodes_[i]).ok());
+    ASSERT_TRUE(LearnNow(*others[i]).ok());
   }
   for (const char* q : kQueries) {
     StatusOr<ir::RankedList> batch = SearchNow(*nodes_[0], Terms(q), 10);
@@ -585,6 +601,44 @@ TEST(DaemonHttpTest, PublishRejectsDocIdThatIsNotAWholeNumber) {
             std::string::npos);
 }
 
+TEST(DaemonHttpTest, PublishRejectsADocIdAlreadyShared) {
+  DaemonOptions options;
+  options.name = "solo";
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  HttpRequest publish;
+  publish.method = "POST";
+  publish.path = "/publish";
+  publish.body = "7\tfirst\talpha alpha beta gamma\n";
+  ASSERT_EQ(Answer(daemon, publish).status, 200);
+  HttpRequest search;
+  search.method = "GET";
+  search.path = "/search";
+  search.params["q"] = "alpha";
+  const std::string first = Answer(daemon, search).body;
+  ASSERT_NE(first.find("\"doc\":7"), std::string::npos) << first;
+
+  // An id this daemon already shares, and one that repeats in the body:
+  // 409 naming the line, and nothing of the body is shared.
+  for (const char* body : {"7\tsecond\tdelta delta epsilon zeta\n",
+                           "8\tthird\tdelta zeta\n# note\n8\tfourth\teta\n"}) {
+    publish.body = body;
+    const HttpResponse resp = Answer(daemon, publish);
+    EXPECT_EQ(resp.status, 409) << body;
+    const char* line = body[0] == '7' ? "line 1" : "line 3";
+    EXPECT_NE(resp.body.find(line), std::string::npos) << resp.body;
+  }
+  search.params["q"] = "delta";
+  EXPECT_EQ(Answer(daemon, search).body, "{\"results\":[]}");
+  search.params["q"] = "alpha";
+  EXPECT_EQ(Answer(daemon, search).body, first);
+  HttpRequest stats;
+  stats.method = "GET";
+  stats.path = "/stats";
+  EXPECT_NE(Answer(daemon, stats).body.find("\"documents\":1,"),
+            std::string::npos);
+}
+
 // --- Trace propagation: the sim bus stays byte-clean ------------------------
 
 TEST(SimTransportFrameTest, SimBusFramesCarryNoTraceContext) {
@@ -650,12 +704,11 @@ LifecycleDump RunObservedLifecycle(bool attach) {
     }
   }
   for (size_t i = 0; i < std::size(kDocs); ++i) {
-    EXPECT_TRUE(nodes[i % 3]
-                    ->ShareDocument(static_cast<corpus::DocId>(i),
-                                    kDocs[i][0], kDocs[i][1])
+    EXPECT_TRUE(ShareNow(*nodes[i % 3], static_cast<corpus::DocId>(i),
+                         kDocs[i][0], kDocs[i][1])
                     .ok());
   }
-  for (auto& node : nodes) EXPECT_TRUE(node->RunLearningIteration().ok());
+  for (auto& node : nodes) EXPECT_TRUE(LearnNow(*node).ok());
   LifecycleDump dump;
   for (const char* q : kQueries) {
     StatusOr<ir::RankedList> ranked =

@@ -75,6 +75,7 @@ class LoopbackServers {
     PeerAddress addr;
     addr.id = 1000 + i;
     addr.host = "127.0.0.1";
+    addr.udp_port = servers_[i]->udp_port();
     addr.tcp_port = servers_[i]->tcp_port();
     return addr;
   }
@@ -129,6 +130,33 @@ CallOptions Opts(double timeout_ms = 1000.0, size_t retries = 0) {
   return opts;
 }
 
+// Polls `transport`'s sockets until `done()` or 5 s pass.
+template <typename Done>
+void PollUntil(SocketTransport& transport, Done done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<pollfd> fds;
+  while (!done() && std::chrono::steady_clock::now() < until) {
+    fds.clear();
+    transport.AppendPollFds(&fds);
+    const int due = transport.NextTimeoutMs();
+    ::poll(fds.data(), fds.size(), due < 0 || due > 10 ? 10 : due);
+    transport.OnPollEvents(fds.data(), fds.size());
+  }
+}
+
+// One call through CallAsync, driven to its end by polling the caller's
+// sockets.
+StatusOr<wire::Frame> CallNow(SocketTransport& client, const PeerAddress& to,
+                              const wire::Frame& request,
+                              const CallOptions& opts) {
+  std::optional<StatusOr<wire::Frame>> result;
+  client.CallAsync(to, request, opts, [&result](StatusOr<wire::Frame> reply) {
+    result = std::move(reply);
+  });
+  PollUntil(client, [&result] { return result.has_value(); });
+  return result.value_or(Status::Internal("call still pending"));
+}
+
 // A raw blocking loopback TCP connection to `port`.
 int RawConnect(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -171,7 +199,7 @@ TEST(SocketTransportTest, HundredCallsToOnePeerDialOnce) {
   SocketTransport client(1);
   for (int i = 0; i < 100; ++i) {
     StatusOr<wire::Frame> reply =
-        client.Call(servers.address(0), Request(), Opts());
+        CallNow(client, servers.address(0), Request(), Opts());
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply->payload, Request().payload);
   }
@@ -182,19 +210,36 @@ TEST(SocketTransportTest, HundredCallsToOnePeerDialOnce) {
   EXPECT_EQ(servers.served(), 100);
 }
 
+TEST(SocketTransportTest, BlockingCallTakesUdpControlFramesOnly) {
+  LoopbackServers servers(1);
+  SocketTransport client(1);
+  StatusOr<wire::Frame> reply =
+      client.Call(servers.address(0), Request(), Opts());
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.stats().TotalFrames(), 0u);  // nothing was sent
+  wire::Frame heartbeat = Request();
+  heartbeat.type = MessageType::kHeartbeat;
+  reply = client.Call(servers.address(0), heartbeat, Opts());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->payload, heartbeat.payload);
+  EXPECT_EQ(client.stats().dials(), 0u);
+  EXPECT_EQ(servers.served(), 1);
+}
+
 TEST(SocketTransportTest, RestartedPeerIsRedialedOnceWithoutRetry) {
   SocketTransport client(1);
   uint16_t port = 0;
   {
     LoopbackServers first(1);
     port = first.address(0).tcp_port;
-    ASSERT_TRUE(client.Call(first.address(0), Request(), Opts()).ok());
+    ASSERT_TRUE(CallNow(client, first.address(0), Request(), Opts()).ok());
   }
   // The pooled connection's peer is gone; a new one binds the same port.
   LoopbackServers second(1, port);
   ASSERT_EQ(second.address(0).tcp_port, port);
-  StatusOr<wire::Frame> reply =
-      client.Call(second.address(0), Request(), Opts(1000.0, /*retries=*/2));
+  StatusOr<wire::Frame> reply = CallNow(client, second.address(0), Request(),
+                                        Opts(1000.0, /*retries=*/2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(client.stats().dials(), 2u);
   EXPECT_EQ(client.stats().TotalRetries(), 0u);
@@ -210,8 +255,8 @@ TEST(SocketTransportTest, StalledHalfFrameDoesNotDelayOtherCalls) {
   // Let the server take the half frame before the other client calls.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   SocketTransport client(1);
-  StatusOr<wire::Frame> reply =
-      client.Call(servers.address(0), Request(), Opts(/*timeout_ms=*/500.0));
+  StatusOr<wire::Frame> reply = CallNow(client, servers.address(0), Request(),
+                                        Opts(/*timeout_ms=*/500.0));
   EXPECT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(servers.served(), 1);
   // The stalled client finishes its frame and is answered.
@@ -225,7 +270,7 @@ TEST(SocketTransportTest, StalledHalfFrameDoesNotDelayOtherCalls) {
 TEST(SocketTransportTest, BadCrcClosesOnlyThatConnection) {
   LoopbackServers servers(1);
   SocketTransport client(1);
-  ASSERT_TRUE(client.Call(servers.address(0), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(0), Request(), Opts()).ok());
   std::vector<uint8_t> corrupt = wire::EncodeFrame(Request(9));
   corrupt.back() ^= 0xff;  // payload byte: the crc no longer matches
   const int bad = RawConnect(servers.address(0).tcp_port);
@@ -234,7 +279,7 @@ TEST(SocketTransportTest, BadCrcClosesOnlyThatConnection) {
   EXPECT_EQ(RawRead(bad, &out), 0);  // closed without a reply
   ::close(bad);
   // The well-behaved client's pooled connection still serves.
-  ASSERT_TRUE(client.Call(servers.address(0), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(0), Request(), Opts()).ok());
   EXPECT_EQ(client.stats().dials(), 1u);
   EXPECT_EQ(servers.served(), 2);
 }
@@ -268,16 +313,16 @@ TEST(SocketTransportTest, IdleCapClosesLeastRecentlyUsedConnection) {
   LoopbackServers servers(cap + 1);
   SocketTransport client(1);
   for (size_t i = 0; i < cap; ++i) {
-    ASSERT_TRUE(client.Call(servers.address(i), Request(), Opts()).ok());
+    ASSERT_TRUE(CallNow(client, servers.address(i), Request(), Opts()).ok());
   }
-  ASSERT_TRUE(client.Call(servers.address(0), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(0), Request(), Opts()).ok());
   EXPECT_EQ(client.stats().dials(), cap);
   // A new peer overflows the pool: peer 1's idle connection is the oldest.
-  ASSERT_TRUE(client.Call(servers.address(cap), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(cap), Request(), Opts()).ok());
   EXPECT_EQ(client.idle_connections(), cap);
-  ASSERT_TRUE(client.Call(servers.address(0), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(0), Request(), Opts()).ok());
   EXPECT_EQ(client.stats().dials(), cap + 1);
-  ASSERT_TRUE(client.Call(servers.address(1), Request(), Opts()).ok());
+  ASSERT_TRUE(CallNow(client, servers.address(1), Request(), Opts()).ok());
   EXPECT_EQ(client.stats().dials(), cap + 2);
 }
 
@@ -307,26 +352,12 @@ TEST(SocketTransportTest, ReplyToAnotherRequestFailsTheCall) {
   PeerAddress to;
   to.host = "127.0.0.1";
   to.tcp_port = ntohs(addr.sin_port);
-  StatusOr<wire::Frame> reply = client.Call(to, Request(), Opts());
+  StatusOr<wire::Frame> reply = CallNow(client, to, Request(), Opts());
   peer.join();
   ::close(listener);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
   EXPECT_EQ(client.idle_connections(), 0u);
-}
-
-// Polls `transport`'s sockets until `done()` or 5 s pass.
-template <typename Done>
-void PollUntil(SocketTransport& transport, Done done) {
-  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  std::vector<pollfd> fds;
-  while (!done() && std::chrono::steady_clock::now() < until) {
-    fds.clear();
-    transport.AppendPollFds(&fds);
-    const int due = transport.NextTimeoutMs();
-    ::poll(fds.data(), fds.size(), due < 0 || due > 10 ? 10 : due);
-    transport.OnPollEvents(fds.data(), fds.size());
-  }
 }
 
 // A TCP listener that completes handshakes but never accepts, reads or
@@ -457,7 +488,8 @@ TEST(SocketTransportTest, RetrySendsTheCallAgainAfterTheBackoff) {
   CallOptions opts = Opts(/*timeout_ms=*/200.0, /*retries=*/1);
   opts.backoff_ms = 100.0;
   const auto start = std::chrono::steady_clock::now();
-  StatusOr<wire::Frame> reply = client.Call(peer.address(), Request(), opts);
+  StatusOr<wire::Frame> reply =
+      CallNow(client, peer.address(), Request(), opts);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count();

@@ -311,13 +311,18 @@ TEST(AnalyzerTest, FullPipeline) {
 }
 
 TEST(AnalyzerTest, StemmingCanBeDisabled) {
-  Analyzer analyzer(AnalyzerOptions{.stem = false});
+  AnalyzerOptions options;
+  options.stem = false;
+  Analyzer analyzer(options);
   EXPECT_EQ(analyzer.Analyze("running dogs"),
             (std::vector<std::string>{"running", "dogs"}));
 }
 
 TEST(AnalyzerTest, StopwordRemovalCanBeDisabled) {
-  Analyzer analyzer(AnalyzerOptions{.remove_stopwords = false, .stem = false});
+  AnalyzerOptions options;
+  options.remove_stopwords = false;
+  options.stem = false;
+  Analyzer analyzer(options);
   EXPECT_EQ(analyzer.Analyze("the cat"),
             (std::vector<std::string>{"the", "cat"}));
 }

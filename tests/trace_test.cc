@@ -574,15 +574,15 @@ TEST(TracerTest, SaltedIdsAreNonZero32BitAndSaltDependent) {
   }
 }
 
-TEST(TracerTest, BeginRemoteSpanAdoptsTraceAndParent) {
+TEST(TracerTest, SpanUnderARemoteParentAdoptsTraceAndParent) {
   Tracer t;
   t.set_enabled(true);
-  TraceContext ctx = t.BeginRemoteSpan("serve.query", "n1",
-                                       /*trace_id=*/0xabcdu,
-                                       /*parent_span_id=*/55);
+  const TraceContext ctx =
+      t.BeginSpanUnder({/*trace_id=*/0xabcdu, /*span_id=*/55}, "serve.query",
+                       "n1");
   EXPECT_TRUE(ctx.valid());
   EXPECT_EQ(ctx.trace_id, 0xabcdu);
-  t.EndSpan();
+  t.EndSpan(ctx);
   ASSERT_EQ(t.num_retained(), 1u);
   const Trace* trace = t.Retained()[0];
   EXPECT_EQ(trace->id, 0xabcdu);
@@ -590,22 +590,6 @@ TEST(TracerTest, BeginRemoteSpanAdoptsTraceAndParent) {
   // The adopted root is not a local root: its parent is the remote
   // caller's span, which is what lets the collector stitch the trees.
   EXPECT_EQ(trace->spans[0].parent_id, 55u);
-}
-
-TEST(TracerTest, BeginRemoteSpanDegradesToLocalSpan) {
-  Tracer t;
-  t.set_enabled(true);
-  // Zero trace id: nothing to adopt.
-  TraceContext root = t.BeginRemoteSpan("op", "n1", 0, 9);
-  EXPECT_NE(root.trace_id, 0xabcdu);
-  // Open stack: nests locally instead of starting an operation.
-  TraceContext child = t.BeginRemoteSpan("inner", "n1", 0xabcdu, 9);
-  EXPECT_EQ(child.trace_id, root.trace_id);
-  t.EndSpan();
-  t.EndSpan();
-  ASSERT_EQ(t.num_retained(), 1u);
-  ASSERT_EQ(t.Retained()[0]->spans.size(), 2u);
-  EXPECT_EQ(t.Retained()[0]->spans[0].parent_id, 0u);
 }
 
 TEST(TracerTest, ConcurrentTracesOpenAndCloseByContext) {
@@ -620,8 +604,10 @@ TEST(TracerTest, ConcurrentTracesOpenAndCloseByContext) {
   const TraceContext a_fetch = t.BeginSpanUnder(a, "fetch", "n0");
   t.clock().AdvanceMs(1.0);
   t.BeginSpan("serve.QueryRequest", "n0");
-  EXPECT_EQ(t.current().trace_id, 3u);  // its own trace
   t.EndSpan();
+  ASSERT_EQ(t.num_retained(), 1u);
+  EXPECT_EQ(t.Retained()[0]->id, 3u);  // its own trace
+  EXPECT_EQ(t.Retained()[0]->spans.size(), 1u);
   const TraceContext b_fetch = t.BeginSpanUnder(b, "fetch", "n0");
   t.AnnotateSpan(b_fetch.span_id, "term", "peer");
   t.clock().AdvanceMs(2.0);
@@ -659,15 +645,19 @@ TEST(TracerTest, SpanUnderTheStackJoinsItsTraceAndMayOutliveIt) {
   const TraceContext root = t.BeginSpan("publish.term", "n0");
   const TraceContext call = t.BeginSpanUnder(root, "net.call", "n0");
   EXPECT_EQ(call.trace_id, root.trace_id);
-  EXPECT_EQ(t.current().span_id, root.span_id);  // the stack is untouched
+  t.clock().AdvanceMs(1.0);
   t.EndSpan();  // the stack empties; the trace waits for its call
   EXPECT_EQ(t.num_retained(), 0u);
   EXPECT_FALSE(t.InActiveSpan());
+  t.clock().AdvanceMs(2.0);
   t.EndSpan(call);
   ASSERT_EQ(t.num_retained(), 1u);
   const Trace* trace = t.Retained()[0];
   ASSERT_EQ(trace->spans.size(), 2u);
   EXPECT_EQ(trace->spans[1].parent_id, root.span_id);
+  // The stack was untouched: EndSpan() closed the root, not the call.
+  EXPECT_DOUBLE_EQ(trace->spans[0].duration_ms(), 1.0);
+  EXPECT_DOUBLE_EQ(trace->spans[1].duration_ms(), 3.0);
   // A parent in no open trace is adopted like a remote one.
   const TraceContext adopted = t.BeginSpanUnder({0xabcd, 55}, "net.call", "n0");
   EXPECT_EQ(adopted.trace_id, 0xabcdu);

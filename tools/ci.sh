@@ -16,7 +16,8 @@ echo "== clean export: tier-1 on a git archive of HEAD =="
 EXPORT_DIR=$(mktemp -d)
 trap 'rm -rf "$EXPORT_DIR"' EXIT
 git archive HEAD | tar -x -C "$EXPORT_DIR"
-cmake -B "$EXPORT_DIR/build" -S "$EXPORT_DIR" >/dev/null
+# Warnings are errors here: a new warning fails CI instead of scrolling by.
+cmake -B "$EXPORT_DIR/build" -S "$EXPORT_DIR" -DSPRITE_WERROR=ON >/dev/null
 cmake --build "$EXPORT_DIR/build" -j "$(nproc)"
 (cd "$EXPORT_DIR/build" && ctest --output-on-failure -j "$(nproc)")
 rm -rf "$EXPORT_DIR"

@@ -4,11 +4,11 @@
 Starts three sprite_daemon processes on ephemeral ports, forms a cluster
 via --join, then drives the full life cycle over the HTTP frontend:
 record the training queries, publish documents round-robin, run the
-learning iterations, and search. The ranked results must match an
-in-process `sprite_cli batch` run of the *same* workload score-for-score:
-the cluster and the simulation share the role/ranking/learning code, so a
-live deployment must converge to exactly the rankings the sim predicts
-(DESIGN.md section 14).
+learning iterations (all three /learn at once), and search. The ranked
+results must match an in-process `sprite_cli batch` run of the *same*
+workload score-for-score: the cluster and the simulation share the
+role/ranking/learning code, so a live deployment must converge to
+exactly the rankings the sim predicts (DESIGN.md section 14).
 
 The observability leg (DESIGN.md section 16) runs against the same live
 cluster: every daemon is started with --trace, so the searches above leave
@@ -28,6 +28,7 @@ itself.
 Usage: cluster_smoke.py <build_dir>
 """
 
+import concurrent.futures
 import json
 import os
 import re
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.parse
 import urllib.request
 
@@ -113,6 +115,9 @@ def http(method, port, path, body=None, deadline_s=10.0):
         try:
             with urllib.request.urlopen(req, timeout=5) as resp:
                 return resp.read().decode()
+        except urllib.error.HTTPError as e:  # an answer: no retry
+            fail("HTTP %s %s answered %d: %s"
+                 % (method, url, e.code, e.read().decode()))
         except OSError as e:  # includes URLError; daemon may still be binding
             last_error = e
             time.sleep(0.05)
@@ -206,9 +211,11 @@ def main():
         for i, (title, text) in enumerate(DOCS):
             http("POST", nodes[i % 3]["http"], "/publish",
                  "%d\t%s\t%s\n" % (i, title, text))
-        for _ in range(ITERS):
-            for node in nodes:
-                http("POST", node["http"], "/learn")
+        # Each iteration's /learn requests go out at once.
+        with concurrent.futures.ThreadPoolExecutor(len(nodes)) as pool:
+            for _ in range(ITERS):
+                list(pool.map(lambda n: http("POST", n["http"], "/learn"),
+                              nodes))
 
         # Sanity: the index is spread across the cluster, not parked on one
         # node.

@@ -138,7 +138,7 @@ Options ParseOptions(int argc, char** argv, Flags flags) {
       .Whole("--k", &o.k)
       .Whole("--seed", &o.seed)
       .Whole("--train", &o.train)
-      .OneOf("--cache", &o.cache, {"on", "off", "blind"})
+      .OneOf("--cache", &o.cache, core::kCacheModes)
       .String("--metrics-json", &o.metrics_json)
       .String("--trace-json", &o.trace_json)
       .String("--trace-jsonl", &o.trace_jsonl)
@@ -194,11 +194,7 @@ core::SpriteConfig MakeConfig(const Options& o) {
   config.terms_per_iteration = 5;
   config.max_index_terms = o.terms;
   config.seed = o.seed;
-  if (o.cache == "on" || o.cache == "blind") {
-    config.enable_result_cache = true;
-    config.enable_posting_cache = true;
-    config.cache_validate = o.cache == "on";
-  }
+  core::ApplyCacheMode(o.cache, config);
   return config;
 }
 
