@@ -4,8 +4,8 @@
 //
 // Two identically trained systems replay the same Zipf(1.0) stream over
 // the test split, one with the result + posting caches enabled (--cache=on
-// validates entries with version checks, --cache=blind serves within the
-// TTL without checking), one without. Phases:
+// validates entries with version checks, --cache=blind serves them without
+// checking), one without. Phases:
 //
 //   warm    — the full stream once on both systems; the cached system
 //             fills its tiers. Not measured.

@@ -96,12 +96,11 @@ struct CacheTierStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t inserts = 0;
-  uint64_t evictions = 0;        // pushed out by capacity (LRU order)
-  uint64_t ttl_expirations = 0;  // evicted on lookup past the TTL
-  uint64_t invalidations = 0;    // explicitly dropped (failed validation)
-  uint64_t validations = 0;      // version-check exchanges performed
-  uint64_t stale_rejects = 0;    // validation failed; entry dropped
-  uint64_t stale_serves = 0;     // blind mode served a stale entry
+  uint64_t evictions = 0;      // pushed out by capacity (LRU order)
+  uint64_t invalidations = 0;  // explicitly dropped (failed validation)
+  uint64_t validations = 0;    // version-check exchanges performed
+  uint64_t stale_rejects = 0;  // validation failed; entry dropped
+  uint64_t stale_serves = 0;   // blind mode served a stale entry
 
   double HitRate() const {
     return lookups == 0 ? 0.0
@@ -110,15 +109,16 @@ struct CacheTierStats {
   }
 };
 
+// Capacities of one querying peer's tiers.
+inline constexpr CacheLimits kResultTierLimits{256, 256 * 1024};
+inline constexpr CacheLimits kPostingTierLimits{512, 1024 * 1024};
+
 struct CacheOptions {
-  bool result_enabled = false;
-  bool posting_enabled = false;
+  bool enabled = false;  // both tiers
   // Validate entries with a version-check exchange before serving. When
-  // false, hits within the TTL are served blindly (zero traffic) and
-  // staleness is only measured, not prevented.
+  // false, hits are served blindly (zero traffic) and staleness is only
+  // measured, not prevented.
   bool validate = true;
-  CacheLimits result_limits;   // per querying peer
-  CacheLimits posting_limits;  // per querying peer
 };
 
 // The querying-peer cache tiers of the whole deployment: one result cache
@@ -137,29 +137,19 @@ class CacheManager {
   // cache.* metrics appear in `metrics` from then on.
   void AttachMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  bool enabled() const {
-    return options_.result_enabled || options_.posting_enabled;
-  }
-  bool result_enabled() const { return options_.result_enabled; }
-  bool posting_enabled() const { return options_.posting_enabled; }
+  bool enabled() const { return options_.enabled; }
   bool validate() const { return options_.validate; }
-  void set_validate(bool validate) { options_.validate = validate; }
-  const CacheOptions& options() const { return options_; }
 
   // --- Result tier ------------------------------------------------------
-  // Counts a hit or miss; nullptr on miss (including TTL expiry). The
-  // pointer stays valid until the next mutating call for the same peer.
-  const CachedResult* LookupResult(PeerId peer, const ResultKey& key,
-                                   double now_ms);
-  void InsertResult(PeerId peer, const ResultKey& key, CachedResult value,
-                    double now_ms);
+  // Counts a hit or miss; nullptr on miss. The pointer stays valid until
+  // the next mutating call for the same peer.
+  const CachedResult* LookupResult(PeerId peer, const ResultKey& key);
+  void InsertResult(PeerId peer, const ResultKey& key, CachedResult value);
   void InvalidateResult(PeerId peer, const ResultKey& key);
 
   // --- Posting tier -----------------------------------------------------
-  const CachedPostings* LookupPostings(PeerId peer, TermId term,
-                                       double now_ms);
-  void InsertPostings(PeerId peer, TermId term, CachedPostings value,
-                      double now_ms);
+  const CachedPostings* LookupPostings(PeerId peer, TermId term);
+  void InsertPostings(PeerId peer, TermId term, CachedPostings value);
   void InvalidatePostings(PeerId peer, TermId term);
 
   // --- Validation outcomes (reported by the search path) ----------------
@@ -182,8 +172,8 @@ class CacheManager {
 
  private:
   using FieldPtr = uint64_t CacheTierStats::*;
-  using ResultTier = LruTtlCache<ResultKey, CachedResult, ResultKeyHash>;
-  using PostingTier = LruTtlCache<TermId, CachedPostings>;
+  using ResultTier = LruCache<ResultKey, CachedResult, ResultKeyHash>;
+  using PostingTier = LruCache<TermId, CachedPostings>;
 
   CacheTierStats& MutableStats(CacheTier tier) {
     return tier == CacheTier::kResult ? result_stats_ : posting_stats_;

@@ -9,45 +9,30 @@
 
 namespace sprite::cache {
 
-// Capacity and freshness limits of one cache instance. Time is whatever
-// monotone millisecond scale the caller passes in — the simulated clock in
-// production use — so the policy stays clock-agnostic and deterministic.
+// Capacity limits of one cache instance.
 struct CacheLimits {
   size_t max_entries = 0;  // 0: unlimited
   size_t max_bytes = 0;    // 0: unlimited
-  double ttl_ms = 0.0;     // 0: entries never expire
 };
 
-// An LRU map with per-entry TTL and dual capacity limits (entries and
-// bytes), generic over the key type (interned ids in production; anything
-// hashable in tests). The cache keeps no statistics of its own; every
-// operation reports what happened so the owner (CacheManager) can aggregate
-// counts across many per-peer instances without double bookkeeping.
+// An LRU map with dual capacity limits (entries and bytes), generic over
+// the key type (interned ids in production; anything hashable in tests).
+// Entries never expire; they leave by eviction or Erase. The cache keeps no
+// statistics of its own; every operation reports what happened so the
+// owner (CacheManager) can aggregate counts across many per-peer instances
+// without double bookkeeping.
 template <typename K, typename V, typename Hash = std::hash<K>>
-class LruTtlCache {
+class LruCache {
  public:
-  explicit LruTtlCache(CacheLimits limits) : limits_(limits) {}
+  explicit LruCache(CacheLimits limits) : limits_(limits) {}
 
-  struct GetOutcome {
-    V* value = nullptr;  // nullptr: miss
-    bool expired = false;  // the miss evicted a TTL-expired entry
-  };
-  // Looks up `key` at time `now_ms`. A live hit moves the entry to the
-  // MRU position; an expired entry is evicted and reported as a miss.
-  GetOutcome Get(const K& key, double now_ms) {
-    GetOutcome outcome;
+  // Looks up `key`: nullptr on a miss; a hit moves the entry to the MRU
+  // position.
+  V* Get(const K& key) {
     auto it = map_.find(key);
-    if (it == map_.end()) return outcome;
-    if (Expired(*it->second, now_ms)) {
-      bytes_ -= it->second->bytes;
-      lru_.erase(it->second);
-      map_.erase(it);
-      outcome.expired = true;
-      return outcome;
-    }
+    if (it == map_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);
-    outcome.value = &it->second->value;
-    return outcome;
+    return &it->second->value;
   }
 
   struct PutOutcome {
@@ -60,7 +45,7 @@ class LruTtlCache {
   // occupy on the wire, so byte caps are representation-independent). The
   // newest entry is never evicted by its own insertion, even when it alone
   // exceeds max_bytes.
-  PutOutcome Put(const K& key, V value, size_t entry_bytes, double now_ms) {
+  PutOutcome Put(const K& key, V value, size_t entry_bytes) {
     PutOutcome outcome;
     auto it = map_.find(key);
     if (it != map_.end()) {
@@ -69,7 +54,7 @@ class LruTtlCache {
       map_.erase(it);
       outcome.replaced = true;
     }
-    lru_.push_front(Entry{key, std::move(value), entry_bytes, now_ms});
+    lru_.push_front(Entry{key, std::move(value), entry_bytes});
     map_[key] = lru_.begin();
     bytes_ += entry_bytes;
     while (lru_.size() > 1 && OverCapacity()) {
@@ -106,12 +91,8 @@ class LruTtlCache {
     K key;
     V value;
     size_t bytes = 0;
-    double stored_at_ms = 0.0;
   };
 
-  bool Expired(const Entry& entry, double now_ms) const {
-    return limits_.ttl_ms > 0.0 && now_ms - entry.stored_at_ms > limits_.ttl_ms;
-  }
   bool OverCapacity() const {
     return (limits_.max_entries > 0 && map_.size() > limits_.max_entries) ||
            (limits_.max_bytes > 0 && bytes_ > limits_.max_bytes);

@@ -28,6 +28,15 @@ enum class LearningScoreVariant {
   kQfOnly,        // log10(QF)
 };
 
+// The querying-peer caches (src/cache, DESIGN.md §9). kOn keeps a
+// query-result cache (normalized term set -> top-k ranked list) and a
+// posting cache (term -> inverted list, so multi-term queries sharing a hot
+// term skip its DHT fetch and re-rank locally) at every querying peer, and
+// validates each hit with a version-check message before serving it.
+// kBlind serves hits without the check (zero traffic) and measures the
+// stale-serve rate instead.
+enum class CacheMode { kOff, kOn, kBlind };
+
 // Tunables of a P2P search system instance. Defaults reproduce the paper's
 // default experimental setting (Section 6.2).
 struct SpriteConfig {
@@ -99,22 +108,7 @@ struct SpriteConfig {
   bool enable_wall_profiler = false;
 
   // --- Querying-peer caching (src/cache) --------------------------------
-  // Query-result cache: normalized term-set key -> top-k ranked list.
-  bool enable_result_cache = false;
-  // Posting cache: term -> inverted list, so multi-term queries sharing a
-  // hot term skip its DHT fetch and re-rank locally.
-  bool enable_posting_cache = false;
-  // Validate cached entries with a version-check message before serving.
-  // When false, hits within the TTL are served blindly (zero traffic) and
-  // the stale-serve rate is measured instead.
-  bool cache_validate = true;
-  // Per-querying-peer capacities; 0 means unlimited.
-  size_t result_cache_entries = 256;
-  size_t result_cache_bytes = 256 * 1024;
-  size_t posting_cache_entries = 512;
-  size_t posting_cache_bytes = 1024 * 1024;
-  // Entry lifetime on the simulated clock; 0 disables expiry.
-  double cache_ttl_ms = 0.0;
+  CacheMode cache = CacheMode::kOff;
 
   // --- Posting store + persistence (src/store, DESIGN.md §15) -----------
   // Root directory for the per-peer durable stores (segments + manifest).
@@ -144,16 +138,13 @@ struct SpriteConfig {
   uint64_t seed = 1;
 };
 
-// The --cache= modes of sprite_cli and the benches (DESIGN.md §9): "on"
-// enables both querying-peer tiers with version validation, "blind"
-// without it (staleness is measured instead of prevented); "off" and ""
-// leave caching disabled.
+// The --cache= modes of sprite_cli and the benches, spelled as CacheMode's
+// values; "" leaves caching off.
 inline const std::vector<std::string> kCacheModes = {"on", "off", "blind"};
 inline void ApplyCacheMode(const std::string& mode, SpriteConfig& config) {
-  if (mode != "on" && mode != "blind") return;
-  config.enable_result_cache = true;
-  config.enable_posting_cache = true;
-  config.cache_validate = mode == "on";
+  config.cache = mode == "on"      ? CacheMode::kOn
+                 : mode == "blind" ? CacheMode::kBlind
+                                   : CacheMode::kOff;
 }
 
 }  // namespace sprite::core

@@ -45,14 +45,8 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
                                   config.bandwidth_bytes_per_sec,
                                   obs::LatencyParams{}.rank_ms_per_posting}),
       ring_(dht::ChordOptions{config.id_bits, config.successor_list_size}),
-      cache_(cache::CacheOptions{
-          config.enable_result_cache, config.enable_posting_cache,
-          config.cache_validate,
-          cache::CacheLimits{config.result_cache_entries,
-                             config.result_cache_bytes, config.cache_ttl_ms},
-          cache::CacheLimits{config.posting_cache_entries,
-                             config.posting_cache_bytes,
-                             config.cache_ttl_ms}}) {
+      cache_(cache::CacheOptions{config.cache != CacheMode::kOff,
+                                 config.cache != CacheMode::kBlind}) {
   SPRITE_CHECK(config_.num_peers >= 1);
   SPRITE_CHECK(config_.initial_terms >= 1);
   SPRITE_CHECK(config_.max_index_terms >= config_.initial_terms);
@@ -583,16 +577,16 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
 
   // --- Query-result cache fast path (src/cache) -------------------------
   // A validated hit answers the query for the cost of the version probes;
-  // a blind (cache_validate=false) hit is free but may serve stale
+  // a blind (CacheMode::kBlind) hit is free but may serve stale
   // results, which the stale_serves counter measures against the live
   // index instead of hiding.
   cache::ResultKey result_key;
-  if (cache_.result_enabled()) {
+  if (cache_.enabled()) {
     result_key = cache::MakeResultKey(terms, k);
     obs::ScopedSpan cache_span(&tracer_, "cache.lookup", querying_peer);
     cache_span.Annotate("tier", "result");
-    const cache::CachedResult* hit = cache_.LookupResult(
-        querying_peer, result_key, tracer_.clock().now_ms());
+    const cache::CachedResult* hit =
+        cache_.LookupResult(querying_peer, result_key);
     bool serve = false;
     const char* outcome = "miss";
     uint64_t check_requests = 0;
@@ -689,12 +683,12 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
     if (resolved.count(term) > 0) continue;
 
     // --- Posting-cache path (src/cache): skip the DHT fetch ------------
-    if (cache_.posting_enabled()) {
+    if (cache_.enabled()) {
       obs::ScopedSpan cache_span(&tracer_, "cache.lookup", querying_peer);
       cache_span.Annotate("tier", "posting");
       cache_span.Annotate("term", dict.TermOf(term));
-      const cache::CachedPostings* hit = cache_.LookupPostings(
-          querying_peer, term, tracer_.clock().now_ms());
+      const cache::CachedPostings* hit =
+          cache_.LookupPostings(querying_peer, term);
       bool serve = false;
       const char* outcome = "miss";
       if (hit != nullptr && cache_.validate()) {
@@ -723,7 +717,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
         // The memoized decode: repeated hits share one snapshot.
         rl.postings = hit->postings->Snapshot();
         fetched_postings += rl.postings->size();
-        if (cache_.result_enabled()) sources_used.emplace(term, hit->source);
+        sources_used.emplace(term, hit->source);
         resolved.insert(term);
         if (explain_on) {
           obs::TermExplain te;
@@ -808,16 +802,13 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
       // uint64), which is what makes the fetched list cacheable and later
       // checkable.
       const cache::TermSource term_source{target, peer.TermVersion(term)};
-      if (cache_.result_enabled()) sources_used.emplace(term, term_source);
-      if (cache_.posting_enabled()) {
-        cache::CachedPostings entry;
-        entry.postings = stored != nullptr
-                             ? std::move(stored)
-                             : StoredPostings::Empty(store::StoreOptions{});
-        entry.source = term_source;
-        cache_.InsertPostings(querying_peer, term, std::move(entry),
-                              tracer_.clock().now_ms());
-      }
+      sources_used.emplace(term, term_source);
+      cache::CachedPostings entry;
+      entry.postings = stored != nullptr
+                           ? std::move(stored)
+                           : StoredPostings::Empty(store::StoreOptions{});
+      entry.source = term_source;
+      cache_.InsertPostings(querying_peer, term, std::move(entry));
     }
     lists.push_back(std::move(rl));
 
@@ -943,13 +934,12 @@ StatusOr<ir::RankedList> SpriteSystem::SearchImpl(const corpus::Query& query,
   // known source, none skipped, none served by a hot-term-cache extra —
   // otherwise a later version check could pass while part of the answer
   // has no version at all.
-  if (cache_.result_enabled() && skipped_terms == 0 &&
+  if (cache_.enabled() && skipped_terms == 0 &&
       sources_used.size() == terms.size()) {
     cache::CachedResult entry;
     entry.results = results;
     entry.sources = std::move(sources_used);
-    cache_.InsertResult(querying_peer, result_key, std::move(entry),
-                        tracer_.clock().now_ms());
+    cache_.InsertResult(querying_peer, result_key, std::move(entry));
   }
 
   // Per-phase accounting: routing (sequential hops), fetching (request

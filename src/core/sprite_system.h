@@ -247,7 +247,7 @@ class SpriteSystem {
   void ExportLoadMetrics();
   // The querying-peer cache tiers (src/cache): result + posting caches
   // with learning-aware version validation. Disabled unless
-  // SpriteConfig::enable_result_cache / enable_posting_cache is set.
+  // SpriteConfig::cache is kOn or kBlind.
   const cache::CacheManager& query_cache() const { return cache_; }
   cache::CacheManager& mutable_query_cache() { return cache_; }
   // The time-series recorder (enabled via SpriteConfig::enable_timeseries
@@ -366,7 +366,7 @@ class SpriteSystem {
       const std::optional<QueryRecord>& rec,
       std::unordered_set<PeerId>& recorded_at, uint64_t& requests,
       uint64_t& bytes);
-  // Oracle staleness test for blind (cache_validate=false) serving: would
+  // Oracle staleness test for blind (CacheMode::kBlind) serving: would
   // the version check have failed? Costs no messages; it only feeds the
   // cache.*.stale_serves counters so staleness is measured, not hidden.
   bool CachedSourcesStale(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -168,12 +167,13 @@ struct ClusterNode::CallRun : std::enable_shared_from_this<CallRun> {
         node->tracer_->AnnotateSpan(call.span.span_id, "term", call.term);
       }
     }
-    StampContext(call.span, call.frame);
+    wire::Frame request = call.frame(call);
+    StampContext(call.span, request);
     Transport::CallDone reply = [self = shared_from_this(),
                                  i](StatusOr<wire::Frame> frame) {
       self->Answer(i, std::move(frame));
     };
-    node->CallMemberAsync(node->OwnerOfKey(call.member), std::move(call.frame),
+    node->CallMemberAsync(node->OwnerOfKey(call.member), std::move(request),
                           std::move(reply));
   }
 
@@ -367,11 +367,20 @@ StatusOr<wire::Frame> ClusterNode::HandlePoll(const wire::Frame& frame) {
 ClusterNode::Call ClusterNode::IndexCall(const core::OwnedDocument& owned,
                                          const std::string& term,
                                          bool publish, size_t group) {
-  return {OwnerOfKey(KeyOfTerm(term)).id,
-          publish ? ToFrame(wire::PublishTerm{
-                        term, core::MakePosting(owned, term, self_.id)})
-                  : ToFrame(wire::WithdrawTerm{term, owned.content->id}),
-          group, publish ? "publish.term" : "withdraw.term", term};
+  const uint64_t member = OwnerOfKey(KeyOfTerm(term)).id;
+  if (publish) {
+    return {member,
+            [this, &owned](const Call& call) {
+              return ToFrame(wire::PublishTerm{
+                  call.term, core::MakePosting(owned, call.term, self_.id)});
+            },
+            group, "publish.term", term};
+  }
+  return {member,
+          [doc = owned.content->id](const Call& call) {
+            return ToFrame(wire::WithdrawTerm{call.term, doc});
+          },
+          group, "withdraw.term", term};
 }
 
 void ClusterNode::ShareDocuments(std::vector<corpus::Document> docs,
@@ -424,9 +433,28 @@ void ClusterNode::RunLearningIteration(Done done) {
   if (metrics_ != nullptr) metrics_->Add("cluster.learning_iterations", 1);
   struct Doc {
     core::OwnedDocument* owned = nullptr;
+    std::vector<uint64_t> member_of;        // per index term, when planned
     size_t unanswered = 0;                  // polls
     std::vector<core::QueryRecord> pulled;  // until the document retunes
     core::OwnerPeer::IndexUpdate update;
+
+    // The poll of `member`: every index term, and the ones it serves.
+    // Cluster polls carry zero cursors (full history every round). The
+    // sim's watermark trick is unsound here: wire seqs are namespaced per
+    // issuer ((node id << 32) | counter), so they are not globally
+    // time-ordered and a max-seq cursor could permanently skip a slower
+    // issuer's records. processed_seqs already makes QF exact under
+    // re-pulls, so cursors would only save traffic, never change the
+    // learned index sets.
+    wire::Frame PollFrame(uint64_t member) const {
+      wire::PollRequest req;
+      req.poll_terms = owned->index_terms;
+      for (size_t t = 0; t < member_of.size(); ++t) {
+        if (member_of[t] == member) req.my_terms.push_back(req.poll_terms[t]);
+      }
+      req.cursors.assign(req.my_terms.size(), 0);
+      return ToFrame(req);
+    }
   };
   struct LearnOp {
     obs::TraceContext span;
@@ -441,28 +469,28 @@ void ClusterNode::RunLearningIteration(Done done) {
   // Poll every member responsible for one of a document's index terms —
   // the index-update poll of Section 3, over real frames instead of the
   // sim bus. A document without index terms has nothing to learn from.
+  // Its polls are all issued before the last reply retunes it, so each
+  // frame, built when it is issued, sees the index terms planned here.
   std::vector<Call> polls;
+  op->docs.reserve(owner_.num_documents());  // polls point into it
   for (auto& [doc_id, owned] : owner_.mutable_documents()) {
-    std::map<uint64_t, std::vector<std::string>> by_member;
+    Doc& doc = op->docs.emplace_back();
+    doc.owned = &owned;
     for (const std::string& term : owned.index_terms) {
-      by_member[OwnerOfKey(KeyOfTerm(term)).id].push_back(term);
+      doc.member_of.push_back(OwnerOfKey(KeyOfTerm(term)).id);
     }
-    for (auto& [member, my_terms] : by_member) {
-      wire::PollRequest req;
-      req.poll_terms = owned.index_terms;
-      req.my_terms = std::move(my_terms);
-      // Cluster polls carry zero cursors (full history every round). The
-      // sim's watermark trick is unsound here: wire seqs are namespaced
-      // per issuer ((node id << 32) | counter), so they are not globally
-      // time-ordered and a max-seq cursor could permanently skip a slower
-      // issuer's records. processed_seqs already makes QF exact under
-      // re-pulls, so cursors would only save traffic, never change the
-      // learned index sets.
-      req.cursors.assign(req.my_terms.size(), 0);
-      polls.push_back({member, ToFrame(req), 0, "learning.poll"});
-      op->doc_of.push_back(op->docs.size());
+    std::vector<uint64_t> members = doc.member_of;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    doc.unanswered = members.size();
+    for (const uint64_t member : members) {
+      polls.push_back({member,
+                       [&doc](const Call& call) {
+                         return doc.PollFrame(call.member);
+                       },
+                       0, "learning.poll"});
+      op->doc_of.push_back(op->docs.size() - 1);
     }
-    op->docs.push_back({&owned, by_member.size(), {}, {}});
   }
   // A failed poll skips its member until the next round, so the status of
   // the polls is not the round's.
@@ -535,15 +563,18 @@ void ClusterNode::RecordQueries(
       done(Status::InvalidArgument("empty query"));
       return;
     }
-    wire::QueryRequest req;
-    req.record = MakeWireRecord(terms);
-    req.record_only = true;
+    auto record =
+        std::make_shared<const wire::WireQueryRecord>(MakeWireRecord(terms));
     std::unordered_set<uint64_t> recorded_at;
     for (const std::string& term : terms) {
       const uint64_t member = OwnerOfKey(KeyOfTerm(term)).id;
       if (!recorded_at.insert(member).second) continue;
-      req.term = term;
-      calls.push_back({member, ToFrame(req), q});
+      calls.push_back({member,
+                       [record](const Call& call) {
+                         return ToFrame(
+                             wire::QueryRequest{call.term, *record, true});
+                       },
+                       q, nullptr, term});
     }
   }
   if (metrics_ != nullptr) {
@@ -568,10 +599,13 @@ void ClusterNode::Search(const std::vector<std::string>& raw_terms, size_t k,
   const obs::TraceContext span = BeginSpan({}, "search");
   std::vector<Call> fetches;
   for (const std::string& term : terms) {
-    wire::QueryRequest req;
-    req.term = term;
-    fetches.push_back(
-        {OwnerOfKey(KeyOfTerm(term)).id, ToFrame(req), 0, "fetch", term});
+    fetches.push_back({OwnerOfKey(KeyOfTerm(term)).id,
+                       [](const Call& call) {
+                         wire::QueryRequest req;
+                         req.term = call.term;
+                         return ToFrame(req);
+                       },
+                       0, "fetch", term});
   }
   auto replies = std::make_shared<std::vector<StatusOr<wire::Frame>>>(
       terms.size(), Status::Unavailable("unanswered"));

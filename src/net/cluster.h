@@ -152,13 +152,15 @@ class ClusterNode {
   Stats GetStats() const;
 
  private:
-  // One call of an operation: `frame` to member `member`, looked up when
-  // the call is issued as the successor of that id (the member itself, as
-  // members never leave a view), traced under group `group`'s span, in a
-  // span of its own (term annotated) if `name` is set.
+  // One call of an operation: the request `frame` builds from the call
+  // when the fan-out issues it, to member `member`, looked up then as the
+  // successor of that id (the member itself, as members never leave a
+  // view), traced under group `group`'s span, in a span of its own (term
+  // annotated) if `name` is set. Building at issue time keeps at most
+  // kMaxInFlight of an operation's requests in memory.
   struct Call {
     uint64_t member = 0;
-    wire::Frame frame = {};
+    std::function<wire::Frame(const Call&)> frame;
     size_t group = 0;
     const char* name = nullptr;
     std::string term = {};

@@ -159,11 +159,6 @@ bool SocketTransport::UsesUdp(p2p::MessageType type) {
   switch (type) {
     case p2p::MessageType::kJoinRequest:
     case p2p::MessageType::kJoinResponse:
-    case p2p::MessageType::kLookupRequest:
-    case p2p::MessageType::kLookupResponse:
-    case p2p::MessageType::kLookupHop:
-    case p2p::MessageType::kHeartbeat:
-    case p2p::MessageType::kAdvisory:
       return true;
     default:
       return false;

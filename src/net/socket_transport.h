@@ -20,13 +20,12 @@ namespace sprite::net {
 
 // Real-socket Transport over loopback/LAN IPv4:
 //
-//   * UDP carries DHT routing and membership control (join, lookup,
-//     heartbeat, advisory) — small datagrams, request/response matched by
-//     request_id, resent with exponential backoff on silence. A UDP call
-//     blocks the caller until its reply or deadline; the blocking Call()
-//     carries these only (daemon join, `sprite_cli join`).
-//   * TCP carries bulk transfer (publish, withdraw, query, poll,
-//     replicate, key transfer, cache push, version check) as
+//   * UDP carries membership control (the join pair) — small datagrams,
+//     request/response matched by request_id, resent with exponential
+//     backoff on silence. A UDP call blocks the caller until its reply or
+//     deadline; the blocking Call() carries these only (daemon join,
+//     `sprite_cli join`).
+//   * TCP carries every other frame (publish, withdraw, query, poll) as
 //     length-prefixed frame exchanges over long-lived connections.
 //
 // The TCP client never blocks. It keeps one outbound connection per peer
@@ -133,8 +132,7 @@ class SocketTransport : public Transport {
   const TransportStats& stats() const override { return stats_; }
   TransportStats& mutable_stats() { return stats_; }
 
-  // Channel selection: routing/membership control rides UDP, bulk rides
-  // TCP.
+  // Channel selection: the join pair rides UDP, everything else TCP.
   static bool UsesUdp(p2p::MessageType type);
 
  private:

@@ -18,7 +18,7 @@
 //     Frames are delivered as direct function calls; traffic is charged to
 //     the legacy cost model so every sim bench/test stays byte-identical.
 //   * SocketTransport (net/socket_transport.h): real sockets — UDP for
-//     routing/control, TCP for bulk posting transfer.
+//     the join pair, TCP for every other frame.
 //
 // Unreachable peers are a normal condition, not an error: a Call to a
 // departed peer times out after `CallOptions::retries` resends and surfaces
@@ -121,8 +121,8 @@ class Transport {
   // One request/response round trip: sends `request`, returns the peer's
   // reply. DeadlineExceeded when the peer stays silent through every
   // attempt; Unavailable when it is known to be gone (e.g. no route). The
-  // caller blocks until then, so SocketTransport takes only its UDP control
-  // types here (InvalidArgument for the rest, which use CallAsync).
+  // caller blocks until then, so SocketTransport takes only the join pair
+  // here (InvalidArgument for the rest, which use CallAsync).
   virtual StatusOr<wire::Frame> Call(const PeerAddress& to,
                                      const wire::Frame& request,
                                      const CallOptions& opts) = 0;

@@ -1,7 +1,7 @@
 #include "net/wire.h"
 
-#include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/string_util.h"
@@ -321,23 +321,6 @@ Status CheckType(const Frame& f, p2p::MessageType want) {
 
 }  // namespace
 
-Frame ToFrame(const LookupHop& m) {
-  WireWriter w;
-  w.U64(m.key);
-  w.U64(m.origin);
-  return MakeFrame(p2p::MessageType::kLookupHop, std::move(w));
-}
-
-StatusOr<LookupHop> ParseLookupHop(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kLookupHop));
-  WireReader r(f.payload);
-  LookupHop m;
-  m.key = r.U64();
-  m.origin = r.U64();
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
 Frame ToFrame(const PublishTerm& m) {
   WireWriter w;
   w.Str(m.term);
@@ -475,168 +458,6 @@ StatusOr<PollResponse> ParsePollResponse(const Frame& f) {
   return m;
 }
 
-Frame ToFrame(const Replicate& m) {
-  WireWriter w;
-  w.Str(m.term);
-  PutPostings(w, m.postings);
-  return MakeFrame(p2p::MessageType::kReplicate, std::move(w));
-}
-
-StatusOr<Replicate> ParseReplicate(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kReplicate));
-  WireReader r(f.payload);
-  Replicate m;
-  m.term = r.Str();
-  if (!GetPostings(r, m.postings)) {
-    return Status::Corruption("bad posting list");
-  }
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const Advisory& m) {
-  WireWriter w;
-  w.Str(m.term);
-  w.U32(m.indexed_df);
-  return MakeFrame(p2p::MessageType::kAdvisory, std::move(w));
-}
-
-StatusOr<Advisory> ParseAdvisory(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kAdvisory));
-  WireReader r(f.payload);
-  Advisory m;
-  m.term = r.Str();
-  m.indexed_df = r.U32();
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const Heartbeat& m) {
-  WireWriter w;
-  w.Str(m.term);
-  w.U64(m.doc);
-  return MakeFrame(p2p::MessageType::kHeartbeat, std::move(w));
-}
-
-StatusOr<Heartbeat> ParseHeartbeat(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kHeartbeat));
-  WireReader r(f.payload);
-  Heartbeat m;
-  m.term = r.Str();
-  m.doc = r.U64();
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const KeyTransfer& m) {
-  WireWriter w;
-  w.Str(m.term);
-  PutPostings(w, m.postings);
-  w.U32(static_cast<uint32_t>(m.records.size()));
-  for (const auto& rec : m.records) PutRecordPayload(w, rec);
-  return MakeFrame(p2p::MessageType::kKeyTransfer, std::move(w));
-}
-
-StatusOr<KeyTransfer> ParseKeyTransfer(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kKeyTransfer));
-  WireReader r(f.payload);
-  KeyTransfer m;
-  m.term = r.Str();
-  if (!GetPostings(r, m.postings)) {
-    return Status::Corruption("bad posting list");
-  }
-  const uint32_t n = r.U32();
-  if (static_cast<uint64_t>(n) * 28 > r.remaining()) {
-    return Status::Corruption("bad record count");
-  }
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    WireQueryRecord rec;
-    if (!GetRecordBody(r, rec)) return Status::Corruption("bad query record");
-    m.records.push_back(std::move(rec));
-  }
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const CachePush& m) {
-  WireWriter w;
-  w.Str(m.term);
-  PutPostings(w, m.postings);
-  return MakeFrame(p2p::MessageType::kCachePush, std::move(w));
-}
-
-StatusOr<CachePush> ParseCachePush(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kCachePush));
-  WireReader r(f.payload);
-  CachePush m;
-  m.term = r.Str();
-  if (!GetPostings(r, m.postings)) {
-    return Status::Corruption("bad posting list");
-  }
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const VersionCheckRequest& m) {
-  WireWriter w;
-  w.U32(static_cast<uint32_t>(m.terms.size()));
-  for (const auto& [term, version] : m.terms) {
-    w.Str(term);
-    w.U64(version);
-  }
-  uint8_t flags = 0;
-  if (m.record.has_value()) {
-    flags |= kFlagHasRecord;
-    PutRecordPayload(w, *m.record);
-  }
-  return MakeFrame(p2p::MessageType::kVersionCheck, std::move(w), flags);
-}
-
-StatusOr<VersionCheckRequest> ParseVersionCheckRequest(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kVersionCheck));
-  if (f.flags & kFlagResponse) {
-    return Status::InvalidArgument("version-check response, not request");
-  }
-  WireReader r(f.payload);
-  VersionCheckRequest m;
-  const uint32_t n = r.U32();
-  if (static_cast<uint64_t>(n) * 10 > r.remaining()) {
-    return Status::Corruption("bad version-check count");
-  }
-  m.terms.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    std::string term = r.Str();
-    const uint64_t version = r.U64();
-    m.terms.emplace_back(std::move(term), version);
-  }
-  if (f.flags & kFlagHasRecord) {
-    WireQueryRecord rec;
-    if (!GetRecordBody(r, rec)) return Status::Corruption("bad query record");
-    m.record = std::move(rec);
-  }
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const VersionCheckResponse& m) {
-  WireWriter w;
-  w.U64(m.current);
-  return MakeFrame(p2p::MessageType::kVersionCheck, std::move(w),
-                   kFlagResponse);
-}
-
-StatusOr<VersionCheckResponse> ParseVersionCheckResponse(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kVersionCheck));
-  if ((f.flags & kFlagResponse) == 0) {
-    return Status::InvalidArgument("version-check request, not response");
-  }
-  WireReader r(f.payload);
-  VersionCheckResponse m;
-  m.current = r.U64();
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
 Frame ToFrame(const JoinRequest& m) {
   WireWriter w;
   PutNode(w, m.self);
@@ -673,43 +494,6 @@ StatusOr<JoinResponse> ParseJoinResponse(const Frame& f) {
   }
   m.members.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) m.members.push_back(GetNode(r));
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const LookupRequest& m) {
-  WireWriter w;
-  w.U64(m.key);
-  w.U64(m.origin);
-  return MakeFrame(p2p::MessageType::kLookupRequest, std::move(w));
-}
-
-StatusOr<LookupRequest> ParseLookupRequest(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kLookupRequest));
-  WireReader r(f.payload);
-  LookupRequest m;
-  m.key = r.U64();
-  m.origin = r.U64();
-  SPRITE_RETURN_IF_ERROR(r.Finish());
-  return m;
-}
-
-Frame ToFrame(const LookupResponse& m) {
-  WireWriter w;
-  PutNode(w, m.owner);
-  w.U32(m.hops);
-  uint8_t flags = kFlagResponse;
-  if (m.final) flags |= kFlagFinal;
-  return MakeFrame(p2p::MessageType::kLookupResponse, std::move(w), flags);
-}
-
-StatusOr<LookupResponse> ParseLookupResponse(const Frame& f) {
-  SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kLookupResponse));
-  WireReader r(f.payload);
-  LookupResponse m;
-  m.owner = GetNode(r);
-  m.hops = r.U32();
-  m.final = (f.flags & kFlagFinal) != 0;
   SPRITE_RETURN_IF_ERROR(r.Finish());
   return m;
 }

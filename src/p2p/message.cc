@@ -34,10 +34,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "JoinRequest";
     case MessageType::kJoinResponse:
       return "JoinResponse";
-    case MessageType::kLookupRequest:
-      return "LookupRequest";
-    case MessageType::kLookupResponse:
-      return "LookupResponse";
   }
   return "Unknown";
 }

@@ -21,8 +21,10 @@ using DocId = uint32_t;
 inline constexpr DocId kInvalidDocId = std::numeric_limits<DocId>::max();
 
 // Application-level message kinds exchanged by SPRITE peers. The simulated
-// bus counts messages and estimated bytes per kind; the socket transport
-// serializes them with the wire protocol of src/net/wire.h.
+// bus counts messages and estimated bytes per kind. A live node sends only
+// kPublishTerm through kPollResponse and the join pair, which the socket
+// transport serializes with the wire protocol of src/net/wire.h; the other
+// kinds run only in the simulation, charged by the constants below.
 enum class MessageType : uint8_t {
   kLookupHop = 0,    // one hop of an iterative Chord lookup
   kPublishTerm,      // owner -> indexing peer: add posting for a term
@@ -42,11 +44,12 @@ enum class MessageType : uint8_t {
   // cost model, only exchanged by live clusters.
   kJoinRequest,      // newcomer -> member: hello / membership announce
   kJoinResponse,     // member -> newcomer: full member list
-  kLookupRequest,    // querying node -> member: who owns this key?
-  kLookupResponse,   // member -> querying node: owner (or closer node)
 };
 
-inline constexpr int kNumMessageTypes = 17;
+// One past the last value above; a value appended after kJoinResponse
+// must take its place here.
+inline constexpr int kNumMessageTypes =
+    static_cast<int>(MessageType::kJoinResponse) + 1;
 
 // Stable display name, e.g. "PublishTerm".
 std::string_view MessageTypeName(MessageType type);
@@ -55,7 +58,9 @@ std::string_view MessageTypeName(MessageType type);
 // units). The wire protocol (src/net/wire.h) is engineered so that real
 // frames match these charges for the canonical payload shapes — the
 // byte-accounting parity audit in tests/wire_test.cc pins the residual
-// deltas — so sim benches keep predicting real traffic.
+// deltas of every type a daemon sends — so sim benches keep predicting
+// real traffic. The sim-only kinds have no encoder: their charges are
+// these constants alone.
 inline constexpr size_t kMessageHeaderBytes = 48;
 inline constexpr size_t kLookupHopBytes = 64;
 inline constexpr size_t kPostingEntryBytes = 32;  // doc id, owner, tf, len

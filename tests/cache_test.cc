@@ -1,5 +1,5 @@
 // Tests for the querying-peer cache subsystem (src/cache, DESIGN.md §9):
-// the LRU+TTL policy, the normalized result-cache key, the per-term
+// the LRU policy, the normalized result-cache key, the per-term
 // version counters that drive learning-aware invalidation, the
 // CacheManager's stats/registry mirror contract, and the SpriteSystem
 // integration — cached answers byte-identical to fresh ones, stale entries
@@ -35,79 +35,65 @@ core::StoredPostingsPtr SP(std::vector<core::PostingEntry> entries) {
   return core::StoredPostings::FromSortedList(std::move(entries), {});
 }
 
-// --- LruTtlCache --------------------------------------------------------
+// --- LruCache -----------------------------------------------------------
 
-TEST(LruTtlCacheTest, HitRefreshesRecencyAndCapEvictsLru) {
-  LruTtlCache<std::string, int> c(CacheLimits{/*max_entries=*/3, 0, 0.0});
-  c.Put("a", 1, 8, 0.0);
-  c.Put("b", 2, 8, 0.0);
-  c.Put("c", 3, 8, 0.0);
-  ASSERT_NE(c.Get("a", 0.0).value, nullptr);  // "b" is now the LRU entry
+TEST(LruCacheTest, HitRefreshesRecencyAndCapEvictsLru) {
+  LruCache<std::string, int> c(CacheLimits{/*max_entries=*/3, 0});
+  c.Put("a", 1, 8);
+  c.Put("b", 2, 8);
+  c.Put("c", 3, 8);
+  ASSERT_NE(c.Get("a"), nullptr);  // "b" is now the LRU entry
 
-  const auto put = c.Put("d", 4, 8, 0.0);
+  const auto put = c.Put("d", 4, 8);
   EXPECT_EQ(put.evicted, 1u);
   EXPECT_EQ(c.entries(), 3u);
-  EXPECT_EQ(c.Get("b", 0.0).value, nullptr);
-  EXPECT_NE(c.Get("a", 0.0).value, nullptr);
-  EXPECT_NE(c.Get("c", 0.0).value, nullptr);
-  EXPECT_NE(c.Get("d", 0.0).value, nullptr);
+  EXPECT_EQ(c.Get("b"), nullptr);
+  EXPECT_NE(c.Get("a"), nullptr);
+  EXPECT_NE(c.Get("c"), nullptr);
+  EXPECT_NE(c.Get("d"), nullptr);
 }
 
-TEST(LruTtlCacheTest, ByteCapChargesCallerBytesAndEvictsInLruOrder) {
-  LruTtlCache<std::string, int> c(CacheLimits{0, /*max_bytes=*/30, 0.0});
+TEST(LruCacheTest, ByteCapChargesCallerBytesAndEvictsInLruOrder) {
+  LruCache<std::string, int> c(CacheLimits{0, /*max_bytes=*/30});
   // entry_bytes is the caller's total footprint (payload + wire key).
-  c.Put("aa", 1, 10, 0.0);  // 10 bytes
-  c.Put("bb", 2, 10, 0.0);  // 20 bytes
-  c.Put("cc", 3, 10, 0.0);  // 30 bytes: at the cap, nothing evicted
+  c.Put("aa", 1, 10);  // 10 bytes
+  c.Put("bb", 2, 10);  // 20 bytes
+  c.Put("cc", 3, 10);  // 30 bytes: at the cap, nothing evicted
   EXPECT_EQ(c.entries(), 3u);
   EXPECT_EQ(c.bytes(), 30u);
 
-  const auto put = c.Put("dd", 4, 10, 0.0);  // 40 > 30: evict "aa"
+  const auto put = c.Put("dd", 4, 10);  // 40 > 30: evict "aa"
   EXPECT_EQ(put.evicted, 1u);
   EXPECT_EQ(c.bytes(), 30u);
-  EXPECT_EQ(c.Get("aa", 0.0).value, nullptr);
+  EXPECT_EQ(c.Get("aa"), nullptr);
 }
 
-TEST(LruTtlCacheTest, OversizedNewestEntryIsKept) {
-  LruTtlCache<std::string, int> c(CacheLimits{0, /*max_bytes=*/10, 0.0});
-  c.Put("k", 1, 100, 0.0);
+TEST(LruCacheTest, OversizedNewestEntryIsKept) {
+  LruCache<std::string, int> c(CacheLimits{0, /*max_bytes=*/10});
+  c.Put("k", 1, 100);
   EXPECT_EQ(c.entries(), 1u);
-  EXPECT_NE(c.Get("k", 0.0).value, nullptr);
+  EXPECT_NE(c.Get("k"), nullptr);
 }
 
-TEST(LruTtlCacheTest, InternedKeysWorkUnchanged) {
+TEST(LruCacheTest, InternedKeysWorkUnchanged) {
   // The production posting tier keys on TermId; the policy is agnostic.
-  LruTtlCache<TermId, int> c(CacheLimits{/*max_entries=*/2, 0, 0.0});
-  c.Put(T("cat"), 1, 8, 0.0);
-  c.Put(T("dog"), 2, 8, 0.0);
-  ASSERT_NE(c.Get(T("cat"), 0.0).value, nullptr);
-  c.Put(T("emu"), 3, 8, 0.0);  // evicts "dog", the LRU entry
-  EXPECT_EQ(c.Get(T("dog"), 0.0).value, nullptr);
-  EXPECT_NE(c.Get(T("emu"), 0.0).value, nullptr);
+  LruCache<TermId, int> c(CacheLimits{/*max_entries=*/2, 0});
+  c.Put(T("cat"), 1, 8);
+  c.Put(T("dog"), 2, 8);
+  ASSERT_NE(c.Get(T("cat")), nullptr);
+  c.Put(T("emu"), 3, 8);  // evicts "dog", the LRU entry
+  EXPECT_EQ(c.Get(T("dog")), nullptr);
+  EXPECT_NE(c.Get(T("emu")), nullptr);
 }
 
-TEST(LruTtlCacheTest, TtlExpiresOnLookup) {
-  LruTtlCache<std::string, int> c(CacheLimits{0, 0, /*ttl_ms=*/100.0});
-  c.Put("k", 1, 8, /*now_ms=*/0.0);
-  EXPECT_NE(c.Get("k", 100.0).value, nullptr);  // exactly at the TTL: live
-
-  const auto expired = c.Get("k", 100.5);
-  EXPECT_EQ(expired.value, nullptr);
-  EXPECT_TRUE(expired.expired);
-  EXPECT_EQ(c.entries(), 0u);
-  EXPECT_EQ(c.bytes(), 0u);
-  // A second miss on the same key is a plain miss, not another expiry.
-  EXPECT_FALSE(c.Get("k", 101.0).expired);
-}
-
-TEST(LruTtlCacheTest, ReplaceAndEraseKeepByteAccounting) {
-  LruTtlCache<std::string, std::string> c(CacheLimits{});
-  c.Put("k", "v1", 10, 0.0);
-  const auto put = c.Put("k", "v2", 5, 1.0);
+TEST(LruCacheTest, ReplaceAndEraseKeepByteAccounting) {
+  LruCache<std::string, std::string> c(CacheLimits{});
+  c.Put("k", "v1", 10);
+  const auto put = c.Put("k", "v2", 5);
   EXPECT_TRUE(put.replaced);
   EXPECT_EQ(c.entries(), 1u);
   EXPECT_EQ(c.bytes(), 5u);
-  EXPECT_EQ(*c.Get("k", 1.0).value, "v2");
+  EXPECT_EQ(*c.Get("k"), "v2");
 
   EXPECT_TRUE(c.Erase("k"));
   EXPECT_FALSE(c.Erase("k"));
@@ -223,15 +209,14 @@ CachedResult MakeResult(core::DocId doc, PeerId peer, uint64_t version) {
 TEST(CacheManagerTest, StatsAndRegistryMirrorsAgree) {
   obs::MetricsRegistry registry;
   CacheOptions options;
-  options.result_enabled = true;
-  options.posting_enabled = true;
+  options.enabled = true;
   CacheManager cm(options);
   cm.AttachMetrics(&registry);
 
   const ResultKey key = RK({"cat"}, 10);
-  EXPECT_EQ(cm.LookupResult(1, key, 0.0), nullptr);
-  cm.InsertResult(1, key, MakeResult(5, 2, 1), 0.0);
-  ASSERT_NE(cm.LookupResult(1, key, 0.0), nullptr);
+  EXPECT_EQ(cm.LookupResult(1, key), nullptr);
+  cm.InsertResult(1, key, MakeResult(5, 2, 1));
+  ASSERT_NE(cm.LookupResult(1, key), nullptr);
   cm.NoteValidation(CacheTier::kResult);
   cm.NoteStaleReject(CacheTier::kResult);
   cm.InvalidateResult(1, key);
@@ -258,18 +243,17 @@ TEST(CacheManagerTest, StatsAndRegistryMirrorsAgree) {
 TEST(CacheManagerTest, ClearStatsResetsBothViewsButKeepsContents) {
   obs::MetricsRegistry registry;
   CacheOptions options;
-  options.result_enabled = true;
-  options.posting_enabled = true;
+  options.enabled = true;
   CacheManager cm(options);
   cm.AttachMetrics(&registry);
 
   const ResultKey key = RK({"cat"}, 10);
-  cm.InsertResult(1, key, MakeResult(5, 2, 1), 0.0);
+  cm.InsertResult(1, key, MakeResult(5, 2, 1));
   CachedPostings cp;
   cp.postings = SP({P(5, 3)});
   cp.source = TermSource{2, 1};
-  cm.InsertPostings(1, T("cat"), std::move(cp), 0.0);
-  ASSERT_NE(cm.LookupResult(1, key, 0.0), nullptr);
+  cm.InsertPostings(1, T("cat"), std::move(cp));
+  ASSERT_NE(cm.LookupResult(1, key), nullptr);
 
   cm.ClearStats();
 
@@ -286,7 +270,7 @@ TEST(CacheManagerTest, ClearStatsResetsBothViewsButKeepsContents) {
   EXPECT_EQ(cm.entries(CacheTier::kPosting), 1u);
   EXPECT_EQ(registry.gauge("cache.result.entries"), 1.0);
   EXPECT_EQ(registry.gauge("cache.posting.entries"), 1.0);
-  ASSERT_NE(cm.LookupResult(1, key, 0.0), nullptr);
+  ASSERT_NE(cm.LookupResult(1, key), nullptr);
 
   cm.Clear();
   EXPECT_EQ(cm.entries(CacheTier::kResult), 0u);
@@ -310,9 +294,7 @@ core::SpriteConfig CachedConfig(bool validate = true) {
   c.initial_terms = 2;
   c.terms_per_iteration = 2;
   c.max_index_terms = 6;
-  c.enable_result_cache = true;
-  c.enable_posting_cache = true;
-  c.cache_validate = validate;
+  c.cache = validate ? core::CacheMode::kOn : core::CacheMode::kBlind;
   return c;
 }
 
@@ -363,8 +345,7 @@ TEST(CacheIntegrationTest, IndexChangeIsCaughtByTheVersionCheck) {
 
   // Twin systems, identical except for caching; both see the same change.
   core::SpriteConfig plain_config = CachedConfig();
-  plain_config.enable_result_cache = false;
-  plain_config.enable_posting_cache = false;
+  plain_config.cache = core::CacheMode::kOff;
   core::SpriteSystem cached(CachedConfig());
   core::SpriteSystem plain(plain_config);
   ASSERT_TRUE(cached.ShareCorpus(corpus).ok());
@@ -440,8 +421,7 @@ TEST(CacheIntegrationTest, BlindModeServesStaleAndCountsIt) {
 TEST(CacheIntegrationTest, CachingStaysOffByDefault) {
   corpus::Corpus corpus = PetCorpus();
   core::SpriteConfig config = CachedConfig();
-  config.enable_result_cache = false;
-  config.enable_posting_cache = false;
+  config.cache = core::CacheMode::kOff;
   core::SpriteSystem system(config);
   ASSERT_TRUE(system.ShareCorpus(corpus).ok());
   EXPECT_FALSE(system.query_cache().enabled());

@@ -245,8 +245,7 @@ TEST(ExtensionsTest, RebalanceRangeNeedsThreePeers) {
 TEST(ExtensionsTest, ExpansionDoesNotPoisonTheResultCache) {
   corpus::SyntheticDataset ds = SmallDataset(23);
   SpriteConfig cached_config = BaseConfig();
-  cached_config.enable_result_cache = true;
-  cached_config.enable_posting_cache = true;
+  cached_config.cache = core::CacheMode::kOn;
   SpriteSystem cached(cached_config);
   SpriteSystem plain(BaseConfig());
   ASSERT_TRUE(cached.ShareCorpus(ds.corpus).ok());

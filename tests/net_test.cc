@@ -5,6 +5,7 @@
 // life cycle must reproduce the simulation's rankings bit for bit — the
 // in-process twin of the multi-process daemon smoke in tools/ci.sh.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -138,24 +139,22 @@ TEST(SimTransportFrameTest, CallDeliversFramesAndCountsBothLegs) {
   wire::Frame seen;
   bus.Register(5, [&](const wire::Frame& f) -> StatusOr<wire::Frame> {
     seen = f;
-    wire::Advisory reply;
-    reply.term = "abcdefghij";
-    reply.indexed_df = 3;
+    wire::QueryResponse reply;
+    reply.version = 3;
     return wire::ToFrame(reply);
   });
-  wire::Heartbeat probe;
-  probe.term = "abcdefghij";
-  probe.doc = 9;
-  wire::Frame request = wire::ToFrame(probe);
+  wire::QueryRequest fetch;
+  fetch.term = "abcdefghij";
+  wire::Frame request = wire::ToFrame(fetch);
   PeerAddress to;
   to.id = 5;
   StatusOr<wire::Frame> response = bus.Call(to, request, CallOptions{});
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(seen.type, MessageType::kHeartbeat);
-  EXPECT_EQ(response->type, MessageType::kAdvisory);
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 1u);
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kAdvisory), 1u);
-  EXPECT_EQ(bus.stats().BytesOf(MessageType::kHeartbeat),
+  EXPECT_EQ(seen.type, MessageType::kQueryRequest);
+  EXPECT_EQ(response->type, MessageType::kQueryResponse);
+  EXPECT_EQ(bus.stats().FramesOf(MessageType::kQueryRequest), 1u);
+  EXPECT_EQ(bus.stats().FramesOf(MessageType::kQueryResponse), 1u);
+  EXPECT_EQ(bus.stats().BytesOf(MessageType::kQueryRequest),
             request.wire_size());
 }
 
@@ -165,9 +164,9 @@ TEST(SimTransportFrameTest, DownPeerSurfacesTypedTimeout) {
     return f;  // echo
   });
   bus.SetDown(5, true);
-  wire::Heartbeat probe;
-  probe.term = "abcdefghij";
-  wire::Frame request = wire::ToFrame(probe);
+  wire::WithdrawTerm withdraw;
+  withdraw.term = "abcdefghij";
+  wire::Frame request = wire::ToFrame(withdraw);
   PeerAddress to;
   to.id = 5;
   CallOptions opts;
@@ -175,9 +174,9 @@ TEST(SimTransportFrameTest, DownPeerSurfacesTypedTimeout) {
   StatusOr<wire::Frame> response = bus.Call(to, request, opts);
   ASSERT_FALSE(response.ok());
   EXPECT_TRUE(response.status().IsDeadlineExceeded());
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 2u);
-  EXPECT_EQ(bus.stats().RetriesOf(MessageType::kHeartbeat), 1u);
-  EXPECT_EQ(bus.stats().TimeoutsOf(MessageType::kHeartbeat), 1u);
+  EXPECT_EQ(bus.stats().FramesOf(MessageType::kWithdrawTerm), 2u);
+  EXPECT_EQ(bus.stats().RetriesOf(MessageType::kWithdrawTerm), 1u);
+  EXPECT_EQ(bus.stats().TimeoutsOf(MessageType::kWithdrawTerm), 1u);
   // The partition heals: the same peer answers again.
   bus.SetDown(5, false);
   EXPECT_TRUE(bus.Call(to, request, opts).ok());
@@ -415,6 +414,28 @@ TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
   ASSERT_TRUE(ranked.ok());
 }
 
+// A node serves five request types. Every other type, including the ones
+// only the simulation charges, gets InvalidArgument without a parse; a
+// served type with an empty payload reaches its parser and fails there.
+TEST_F(ClusterFixture, UnservedFrameTypesGetInvalidArgument) {
+  const std::vector<MessageType> served = {
+      MessageType::kJoinRequest, MessageType::kPublishTerm,
+      MessageType::kWithdrawTerm, MessageType::kQueryRequest,
+      MessageType::kPollRequest};
+  for (int i = 0; i < p2p::kNumMessageTypes; ++i) {
+    wire::Frame frame;
+    frame.type = static_cast<MessageType>(i);
+    const std::string name(p2p::MessageTypeName(frame.type));
+    StatusOr<wire::Frame> reply = nodes_[0]->HandleFrame(frame);
+    ASSERT_FALSE(reply.ok()) << name;
+    if (std::find(served.begin(), served.end(), frame.type) != served.end()) {
+      EXPECT_EQ(reply.status().code(), StatusCode::kCorruption) << name;
+    } else {
+      EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << name;
+    }
+  }
+}
+
 
 // --- Transport RTT histograms (DESIGN.md §16) -------------------------------
 
@@ -648,11 +669,11 @@ TEST(SimTransportFrameTest, SimBusFramesCarryNoTraceContext) {
     seen = f;
     return f;
   });
-  wire::Heartbeat probe;
-  probe.term = "abcdefghij";
+  wire::WithdrawTerm withdraw;
+  withdraw.term = "abcdefghij";
   PeerAddress to;
   to.id = 5;
-  ASSERT_TRUE(bus.Call(to, wire::ToFrame(probe), CallOptions{}).ok());
+  ASSERT_TRUE(bus.Call(to, wire::ToFrame(withdraw), CallOptions{}).ok());
   EXPECT_EQ(seen.flags & wire::kFlagTraced, 0);
   EXPECT_FALSE(seen.traced());
   // Encoded, a sim-bus frame keeps the v1 reserved bytes all-zero — the

@@ -429,8 +429,7 @@ TEST_F(ObsIntegrationTest, ClearRingStatsResetsMirrorCounters) {
 // contents warm, with the occupancy gauges still reflecting them.
 TEST_F(ObsIntegrationTest, ClearMetricsResetsCacheMirrorsButKeepsContents) {
   core::SpriteConfig config = SmallConfig();
-  config.enable_result_cache = true;
-  config.enable_posting_cache = true;
+  config.cache = core::CacheMode::kOn;
   core::SpriteSystem system(config);
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
   // 20 issuances over 16 peers: the pigeonhole guarantees hits.

@@ -123,9 +123,7 @@ core::SpriteConfig CachedConfig(size_t send_retries) {
   config.initial_terms = 2;
   config.terms_per_iteration = 2;
   config.max_index_terms = 6;
-  config.enable_result_cache = true;
-  config.enable_posting_cache = true;
-  config.cache_validate = true;
+  config.cache = core::CacheMode::kOn;
   config.send_retries = send_retries;
   return config;
 }

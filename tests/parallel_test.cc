@@ -330,9 +330,7 @@ ScenarioDump RunScenario(const TestBed& bed, size_t threads,
   config.initial_terms = 5;
   config.terms_per_iteration = 5;
   config.max_index_terms = 20;
-  config.enable_result_cache = true;
-  config.enable_posting_cache = true;
-  config.cache_validate = true;
+  config.cache = core::CacheMode::kOn;
   config.enable_timeseries = true;
   config.replication_factor = 2;
   config.seed = 11;

@@ -218,11 +218,11 @@ TEST(SocketTransportTest, BlockingCallTakesUdpControlFramesOnly) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(client.stats().TotalFrames(), 0u);  // nothing was sent
-  wire::Frame heartbeat = Request();
-  heartbeat.type = MessageType::kHeartbeat;
-  reply = client.Call(servers.address(0), heartbeat, Opts());
+  wire::Frame join = Request();
+  join.type = MessageType::kJoinRequest;
+  reply = client.Call(servers.address(0), join, Opts());
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->payload, heartbeat.payload);
+  EXPECT_EQ(reply->payload, join.payload);
   EXPECT_EQ(client.stats().dials(), 0u);
   EXPECT_EQ(servers.served(), 1);
 }

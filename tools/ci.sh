@@ -342,18 +342,6 @@ fi
 usage_error ./build/tools/sprite_daemon --terms=5x
 echo "CLI error smoke OK"
 
-echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
-# The compressed store must not tax the search hot path: fetch/rank (and
-# the other hotpath_micro phases) stay within tolerance of the committed
-# pre-store baseline. bench_compare exits non-zero on any regression.
-./build/bench/hotpath_micro --docs=300 --peers=16 --rounds=2 \
-  --perf-warmup=1 --perf-reps=5 \
-  --perf-json="$SMOKE_DIR/hotpath_perf.json" \
-  --out="$SMOKE_DIR/hotpath_gate.json" >/dev/null
-./build/tools/bench_compare BENCH_hotpath.json \
-  "$SMOKE_DIR/hotpath_perf.json" --tolerance=0.25 --abs-slack-ms=2.0
-echo "hotpath perf gate OK"
-
 if [ "${1:-}" = "--tsan" ]; then
   echo "== sanitizers: TSan build, parallel suite at 4 threads, socket transport, daemons =="
   cmake -B build-tsan -S . \
@@ -381,5 +369,19 @@ if [ "${1:-}" = "--asan" ]; then
   cmake --build build-asan -j
   (cd build-asan && ctest --output-on-failure -j)
 fi
+
+# Last, so that a gate failure does not keep the sanitizer steps from
+# running; the script still exits non-zero when the gate fails.
+echo "== hotpath perf gate: medians vs committed BENCH_hotpath.json =="
+# The compressed store must not tax the search hot path: fetch/rank (and
+# the other hotpath_micro phases) stay within tolerance of the committed
+# pre-store baseline. bench_compare exits non-zero on any regression.
+./build/bench/hotpath_micro --docs=300 --peers=16 --rounds=2 \
+  --perf-warmup=1 --perf-reps=5 \
+  --perf-json="$SMOKE_DIR/hotpath_perf.json" \
+  --out="$SMOKE_DIR/hotpath_gate.json" >/dev/null
+./build/tools/bench_compare BENCH_hotpath.json \
+  "$SMOKE_DIR/hotpath_perf.json" --tolerance=0.25 --abs-slack-ms=2.0
+echo "hotpath perf gate OK"
 
 echo "CI OK"

@@ -46,7 +46,7 @@
 //   --seed=N      RNG seed                    (default 42)
 //   --cache=MODE  querying-peer caches (DESIGN.md §9): "off" (default),
 //                 "on" (result + posting tiers, version-validated), or
-//                 "blind" (serve within the TTL without validation)
+//                 "blind" (serve cached entries without validation)
 //   --metrics-json=PATH  dump the system's observability snapshot
 //                 (counters + simulated-latency histograms) as JSON
 //   --trace-json=PATH    enable tracing; dump span trees as Chrome
