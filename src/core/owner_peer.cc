@@ -11,6 +11,11 @@ bool OwnedDocument::IsIndexed(const std::string& term) const {
          index_terms.end();
 }
 
+PollCursor OwnedDocument::CursorOf(TermId term) const {
+  auto it = poll_cursor.find(term);
+  return it == poll_cursor.end() ? PollCursor{} : it->second;
+}
+
 PostingEntry MakePosting(const OwnedDocument& owned, const std::string& term,
                          PeerId owner) {
   PostingEntry entry;
@@ -140,8 +145,10 @@ OwnerPeer::IndexUpdate OwnerPeer::LearnAndRetune(
   }
   doc.index_terms = std::move(new_terms);
 
-  // Drop cursors of withdrawn terms; re-adding the term later re-pulls its
-  // history from scratch (the owner-side processed set keeps that exact).
+  // Drop cursors of withdrawn terms. The caller then re-sets the cursor of
+  // every term whose indexing peer it polled, withdrawn ones included, so
+  // only a term whose peer went unpolled re-pulls its history from scratch
+  // when it is re-added (the owner-side processed set keeps that exact).
   for (const std::string& term : update.remove) {
     const TermId id = text::TermDict::Global().Lookup(term);
     if (id != text::kInvalidTermId) doc.poll_cursor.erase(id);

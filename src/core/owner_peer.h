@@ -21,16 +21,23 @@ struct OwnedDocument {
   std::vector<std::string> index_terms;
   // Algorithm-1 statistics per term (best qScore, cumulative QF).
   std::unordered_map<std::string, TermLearningStats> stats;
-  // Per-term poll cursor, keyed by interned TermId: the newest history seq
-  // already pulled via that term, so index-update polls stay incremental.
-  std::unordered_map<TermId, uint64_t> poll_cursor;
+  // Per-term poll cursor, keyed by interned TermId, so index-update polls
+  // stay incremental. After each retune the owner sets the cursor of every
+  // term whose indexing peer answered the poll to that peer's high-water
+  // mark: {0, global seq counter} in the simulation, a live member's
+  // {epoch, newest arrival}. A term added this round has none yet.
+  std::unordered_map<TermId, PollCursor> poll_cursor;
   // Seqs of query issuances already folded into `stats`. The paper's
   // closest-term rule dedups within one poll; across iterations the winner
-  // term of a query can change as the index-term set grows, so a returned
-  // query may repeat — this set makes QF exactly "one count per issuance".
+  // term of a query can change as the index-term set grows, and a term
+  // without a cursor pulls its whole matching history, so a returned query
+  // may repeat — this set makes QF exactly "one count per issuance". A
+  // seq is only an identity here, never an order.
   std::unordered_set<uint64_t> processed_seqs;
 
   bool IsIndexed(const std::string& term) const;
+  // `term`'s cursor; {0, 0} (pull everything) when it has none.
+  PollCursor CursorOf(TermId term) const;
 };
 
 // The posting `owner` publishes for `term` of `owned`'s document. The

@@ -434,6 +434,9 @@ QueryRecord SpriteSystem::MakeQueryRecord(const corpus::Query& query) {
   }
   record.hash_key = ring_.space().KeyForString(query.CanonicalKey());
   record.seq = ++seq_counter_;
+  // Every peer stores records in issue order, so the global seq is each
+  // peer's arrival order too.
+  record.arrival = record.seq;
   return record;
 }
 
@@ -1252,12 +1255,16 @@ void SpriteSystem::RunLearningIteration() {
     }
     // Pull the deduplicated incremental query history from each peer.
     std::vector<const QueryRecord*> pulled;
+    std::vector<uint64_t> after;
     unit.recs_per_peer.reserve(unit.by_peer.size());
     for (const auto& [peer_id, my_terms] : unit.by_peer) {
+      after.clear();
+      for (const TermId term : my_terms) {
+        after.push_back(owned.CursorOf(term).arrival);
+      }
       std::vector<const QueryRecord*> recs =
           indexing_.at(peer_id).CollectQueriesForPoll(
-              unit.poll_terms, unit.poll_keys, my_terms, owned.poll_cursor,
-              ring_.space());
+              unit.poll_terms, unit.poll_keys, my_terms, after, ring_.space());
       unit.recs_per_peer.push_back(recs.size());
       pulled.insert(pulled.end(), recs.begin(), recs.end());
     }
@@ -1322,7 +1329,7 @@ void SpriteSystem::RunLearningIteration() {
     // been offered yet and must still be pulled once the arc heals.
     for (const auto& [peer_id, my_terms] : unit.by_peer) {
       for (const TermId term : my_terms) {
-        owned.poll_cursor[term] = seq_counter_;
+        owned.poll_cursor[term] = PollCursor{0, seq_counter_};
       }
     }
     metrics_.Add("learning.polls", unit.by_peer.size());

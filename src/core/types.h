@@ -26,6 +26,7 @@ using text::TermId;
 // ISSUE 8's transport extraction — they cross the wire on publish, fetch,
 // replicate and poll. Core re-exports them under their historical names;
 // p2p::DocId and corpus::DocId are the same underlying type.
+using p2p::PollCursor;
 using p2p::PostingEntry;
 using p2p::QueryRecord;
 static_assert(std::is_same_v<p2p::DocId, corpus::DocId>,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <random>
 #include <unordered_set>
 #include <utility>
 
@@ -19,7 +20,7 @@ namespace {
 
 // Records travel as spellings; rebuild the local QueryRecord with
 // re-interned ids. hash_key and seq are cluster-wide values and pass
-// through unchanged.
+// through unchanged; arrival is the receiver's to stamp.
 core::QueryRecord FromWire(const wire::WireQueryRecord& record) {
   core::QueryRecord local;
   local.id = static_cast<core::QueryId>(record.id);
@@ -46,6 +47,14 @@ PeerAddress AddressOf(const wire::NodeInfo& node) {
   return {node.id, node.host, node.udp_port, node.tcp_port};
 }
 
+// A random nonzero 64-bit value, drawn once per ClusterNode.
+uint64_t DrawEpoch() {
+  std::random_device device;
+  uint64_t epoch = 0;
+  while (epoch == 0) epoch = (uint64_t{device()} << 32) | device();
+  return epoch;
+}
+
 }  // namespace
 
 ClusterNode::ClusterNode(ClusterOptions options, Transport* transport)
@@ -55,7 +64,8 @@ ClusterNode::ClusterNode(ClusterOptions options, Transport* transport)
       index_(space_.KeyForString(options_.name),
              options_.config.history_capacity),
       owner_(index_.id()),
-      store_(options_.config, index_.id()) {
+      store_(options_.config, index_.id()),
+      epoch_(DrawEpoch()) {
   self_.id = index_.id();
   self_.name = options_.name;
   members_.push_back(self_);
@@ -112,10 +122,11 @@ CallOptions ClusterNode::DirectCallOptions() const {
 }
 
 uint64_t ClusterNode::NextSeq() {
-  // Unique cluster-wide: the issuing node's ring id tags the top half, a
-  // local counter the bottom. NOT globally time-ordered across issuers —
-  // see RunLearningIteration for why cluster polls ignore cursors.
-  return (self_.id << 32) | (++seq_counter_ & 0xffffffffULL);
+  // An identity, never an order: this incarnation's random epoch offsets a
+  // local counter, so neither another issuer nor this node restarted under
+  // the same name reuses a seq that owners have already counted (short of
+  // two random epochs falling within a counter's reach of each other).
+  return epoch_ + ++seq_counter_;
 }
 
 void ClusterNode::CallMemberAsync(const wire::NodeInfo& node,
@@ -310,7 +321,11 @@ StatusOr<wire::Frame> ClusterNode::HandleWithdraw(const wire::Frame& frame) {
 StatusOr<wire::Frame> ClusterNode::HandleQuery(const wire::Frame& frame) {
   StatusOr<wire::QueryRequest> req = wire::ParseQueryRequest(frame);
   if (!req.ok()) return req.status();
-  if (req->record.has_value()) index_.RecordQuery(FromWire(*req->record));
+  if (req->record.has_value()) {
+    core::QueryRecord record = FromWire(*req->record);
+    record.arrival = ++arrivals_;
+    index_.RecordQuery(record);
+  }
   wire::QueryResponse resp;
   if (!req->record_only) {
     const TermId id = TermDict::Global().Intern(req->term);
@@ -338,17 +353,23 @@ StatusOr<wire::Frame> ClusterNode::HandlePoll(const wire::Frame& frame) {
     poll_keys.push_back(space_.Truncate(dict.RawKeyOf(id)));
   }
   std::vector<TermId> my_terms;
-  std::unordered_map<TermId, uint64_t> cursor;
+  std::vector<uint64_t> after;
   my_terms.reserve(req->my_terms.size());
+  after.reserve(req->my_terms.size());
   for (size_t i = 0; i < req->my_terms.size(); ++i) {
-    const TermId id = dict.Intern(req->my_terms[i]);
-    my_terms.push_back(id);
-    cursor[id] = req->cursors[i];
+    my_terms.push_back(dict.Intern(req->my_terms[i]));
+    // Arrivals count within one incarnation. A cursor from another one
+    // counts as 0: this node restarted (its history restarted with its
+    // counter), or the owner last pulled the term from another member.
+    const p2p::PollCursor& cursor = req->cursors[i];
+    after.push_back(cursor.epoch == epoch_ ? cursor.arrival : 0);
   }
   const std::vector<const core::QueryRecord*> records =
-      index_.CollectQueriesForPoll(poll_terms, poll_keys, my_terms, cursor,
+      index_.CollectQueriesForPoll(poll_terms, poll_keys, my_terms, after,
                                    space_);
   wire::PollResponse resp;
+  resp.epoch = epoch_;
+  resp.high_water = arrivals_;
   resp.records.reserve(records.size());
   for (const core::QueryRecord* rec : records) {
     wire::WireQueryRecord out;
@@ -433,34 +454,43 @@ void ClusterNode::RunLearningIteration(Done done) {
   if (metrics_ != nullptr) metrics_->Add("cluster.learning_iterations", 1);
   struct Doc {
     core::OwnedDocument* owned = nullptr;
-    std::vector<uint64_t> member_of;        // per index term, when planned
-    size_t unanswered = 0;                  // polls
+    std::vector<TermId> terms;        // the index terms, when planned
+    std::vector<uint64_t> member_of;  // per index term
+    size_t unanswered = 0;            // polls
+    // Each answered poll's member and the cursor it answered with.
+    std::vector<std::pair<uint64_t, core::PollCursor>> answered;
     std::vector<core::QueryRecord> pulled;  // until the document retunes
     core::OwnerPeer::IndexUpdate update;
 
-    // The poll of `member`: every index term, and the ones it serves.
-    // Cluster polls carry zero cursors (full history every round). The
-    // sim's watermark trick is unsound here: wire seqs are namespaced per
-    // issuer ((node id << 32) | counter), so they are not globally
-    // time-ordered and a max-seq cursor could permanently skip a slower
-    // issuer's records. processed_seqs already makes QF exact under
-    // re-pulls, so cursors would only save traffic, never change the
-    // learned index sets.
+    // The poll of `member`: every index term, and the ones it serves with
+    // their cursors, so it returns only records that arrived since.
     wire::Frame PollFrame(uint64_t member) const {
       wire::PollRequest req;
       req.poll_terms = owned->index_terms;
       for (size_t t = 0; t < member_of.size(); ++t) {
-        if (member_of[t] == member) req.my_terms.push_back(req.poll_terms[t]);
+        if (member_of[t] != member) continue;
+        req.my_terms.push_back(req.poll_terms[t]);
+        req.cursors.push_back(owned->CursorOf(terms[t]));
       }
-      req.cursors.assign(req.my_terms.size(), 0);
       return ToFrame(req);
+    }
+
+    // Called after the retune, where the simulation's commit advances its
+    // cursors: every planned term of an answered poll, withdrawn ones
+    // too, is pulled up to that member's high-water mark.
+    void AdvanceCursors() {
+      for (const auto& [member, cursor] : answered) {
+        for (size_t t = 0; t < terms.size(); ++t) {
+          if (member_of[t] == member) owned->poll_cursor[terms[t]] = cursor;
+        }
+      }
     }
   };
   struct LearnOp {
     obs::TraceContext span;
     std::vector<Doc> docs;
-    std::vector<size_t> doc_of;  // per poll
-    Status error;                // the first poll reply that did not parse
+    std::vector<std::pair<size_t, uint64_t>> poll_of;  // document, member
+    Status error;  // the first poll reply that did not parse
     Done done;
   };
   auto op = std::make_shared<LearnOp>();
@@ -477,6 +507,7 @@ void ClusterNode::RunLearningIteration(Done done) {
     Doc& doc = op->docs.emplace_back();
     doc.owned = &owned;
     for (const std::string& term : owned.index_terms) {
+      doc.terms.push_back(TermDict::Global().Intern(term));
       doc.member_of.push_back(OwnerOfKey(KeyOfTerm(term)).id);
     }
     std::vector<uint64_t> members = doc.member_of;
@@ -489,19 +520,26 @@ void ClusterNode::RunLearningIteration(Done done) {
                          return doc.PollFrame(call.member);
                        },
                        0, "learning.poll"});
-      op->doc_of.push_back(op->docs.size() - 1);
+      op->poll_of.emplace_back(op->docs.size() - 1, member);
     }
   }
+  if (metrics_ != nullptr) metrics_->Add("learning.polls", polls.size());
   // A failed poll skips its member until the next round, so the status of
   // the polls is not the round's.
   RunCalls(
       std::move(polls), {op->span}, /*end_groups=*/false,
       [this, op](size_t i, StatusOr<wire::Frame> reply) {
-        Doc& doc = op->docs[op->doc_of[i]];
+        const auto [doc_index, member] = op->poll_of[i];
+        Doc& doc = op->docs[doc_index];
         if (reply.ok()) {
           StatusOr<wire::PollResponse> parsed = wire::ParsePollResponse(*reply);
           if (op->error.ok()) op->error = parsed.status();
           if (parsed.ok()) {
+            if (metrics_ != nullptr) {
+              metrics_->Add("learning.pulled_queries", parsed->records.size());
+            }
+            doc.answered.emplace_back(
+                member, core::PollCursor{parsed->epoch, parsed->high_water});
             for (const wire::WireQueryRecord& rec : parsed->records) {
               doc.pulled.push_back(FromWire(rec));
             }
@@ -516,6 +554,7 @@ void ClusterNode::RunLearningIteration(Done done) {
         pulled.reserve(records.size());
         for (const core::QueryRecord& rec : records) pulled.push_back(&rec);
         doc.update = owner_.LearnAndRetune(*doc.owned, pulled, options_.config);
+        doc.AdvanceCursors();
       },
       [this, op](const Status&) {
         std::vector<Call> changes;

@@ -109,15 +109,22 @@ class ClusterNode {
   void ShareDocuments(std::vector<corpus::Document> docs, Done done);
   bool Owns(corpus::DocId id) const { return owner_.document(id) != nullptr; }
   // One SPRITE learning iteration over the documents owned here: poll the
-  // responsible members for fresh query records and retune each document
-  // as soon as its polls are answered (a failed poll skips that member
-  // this round), then withdraw and publish the changes, each document's
-  // withdrawals before its publications.
+  // responsible members for the query records cached since each term's
+  // cursor and retune each document as soon as its polls are answered,
+  // then withdraw and publish the changes, each document's withdrawals
+  // before its publications. A member stamps every record it caches with
+  // its next arrival number and answers a poll with its epoch and arrival
+  // high-water mark; after the retune the owner sets the cursor of every
+  // term of an answered poll to that pair, where the simulation's commit
+  // sets its own. A failed poll skips that member this round and advances
+  // none of its cursors. Counts learning.polls (polls sent) and
+  // learning.pulled_queries (records received), as the simulation does.
   void RunLearningIteration(Done done);
   // Records each query's issuance at every member responsible for one of
   // its terms (the training half of SPRITE's learning loop). Every member
-  // appends the records in issue order. An empty query fails the batch
-  // before anything is sent.
+  // appends the records in issue order. Each issuance gets a seq that
+  // identifies it (see NextSeq); no order is read from seqs. An empty
+  // query fails the batch before anything is sent.
   void RecordQueries(const std::vector<std::vector<std::string>>& queries,
                      Done done);
   // Fetches each term's inverted list from its responsible member and
@@ -192,6 +199,7 @@ class ClusterNode {
                               const char* name);
   void EndSpan(const obs::TraceContext& span);
   CallOptions DirectCallOptions() const;
+  // The next issuance's seq: this incarnation's epoch plus a counter.
   uint64_t NextSeq();
 
   StatusOr<wire::Frame> HandleJoin(const wire::Frame& frame);
@@ -215,6 +223,10 @@ class ClusterNode {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   core::IndexingPeerStore store_;  // same layout as the simulation's stores
+  // This incarnation: random, nonzero, drawn at construction. Poll cursors
+  // from another epoch count as 0, and issued seqs start from it.
+  const uint64_t epoch_;
+  uint64_t arrivals_ = 0;  // the last arrival number a cached record got
   bool owner_busy_ = false;  // a share or learning round is running
   uint64_t seq_counter_ = 0;
   uint32_t record_id_counter_ = 0;

@@ -408,7 +408,10 @@ Frame ToFrame(const PollRequest& m) {
   for (const auto& t : m.poll_terms) w.Str(t);
   w.U32(static_cast<uint32_t>(m.my_terms.size()));
   for (const auto& t : m.my_terms) w.Str(t);
-  for (const uint64_t c : m.cursors) w.U64(c);
+  for (const p2p::PollCursor& c : m.cursors) {
+    w.U64(c.epoch);
+    w.U64(c.arrival);
+  }
   return MakeFrame(p2p::MessageType::kPollRequest, std::move(w));
 }
 
@@ -426,13 +429,21 @@ StatusOr<PollRequest> ParsePollRequest(const Frame& f) {
     return Status::Corruption("bad my-term count");
   }
   for (uint32_t i = 0; i < nm && r.ok(); ++i) m.my_terms.push_back(r.Str());
-  for (uint32_t i = 0; i < nm && r.ok(); ++i) m.cursors.push_back(r.U64());
+  if (r.remaining() % 16 != 0) return Status::Corruption("bad cursor block");
+  m.cursors.reserve(r.remaining() / 16);
+  while (r.ok() && r.remaining() > 0) {
+    p2p::PollCursor& c = m.cursors.emplace_back();
+    c.epoch = r.U64();
+    c.arrival = r.U64();
+  }
   SPRITE_RETURN_IF_ERROR(r.Finish());
   return m;
 }
 
 Frame ToFrame(const PollResponse& m) {
   WireWriter w;
+  w.U64(m.epoch);
+  w.U64(m.high_water);
   w.U32(static_cast<uint32_t>(m.records.size()));
   for (const auto& rec : m.records) PutRecordPayload(w, rec);
   return MakeFrame(p2p::MessageType::kPollResponse, std::move(w),
@@ -443,6 +454,8 @@ StatusOr<PollResponse> ParsePollResponse(const Frame& f) {
   SPRITE_RETURN_IF_ERROR(CheckType(f, p2p::MessageType::kPollResponse));
   WireReader r(f.payload);
   PollResponse m;
+  m.epoch = r.U64();
+  m.high_water = r.U64();
   const uint32_t n = r.U32();
   // A record's fixed part alone costs 28 bytes.
   if (static_cast<uint64_t>(n) * 28 > r.remaining()) {

@@ -58,7 +58,7 @@
 namespace sprite::net::wire {
 
 inline constexpr uint32_t kMagic = 0x57525053;  // "SPRW" little-endian
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kHeaderBytes = 48;
 static_assert(kHeaderBytes == p2p::kMessageHeaderBytes,
               "frame header must match the sim's per-message header charge");
@@ -216,16 +216,25 @@ struct QueryResponse {
 };
 
 // kPollRequest — index-update poll for one document: all of the document's
-// global index terms, the subset the receiver is responsible for, and the
-// per-my-term cursors. Δ = +8 + 20·|my_terms|.
+// global index terms, the subset the receiver is responsible for, and each
+// of those terms' cursor: the receiver's epoch and newest arrival the owner
+// already pulled through it ({0, 0} when it has none). The cursors are the
+// rest of the payload, 16 bytes each, so a request whose cursors are not
+// parallel to my_terms still parses and the receiver rejects it.
+// Δ = +8 + 28·|my_terms| (counts + a u64 pair beside each my-term).
 struct PollRequest {
   std::vector<std::string> poll_terms;
   std::vector<std::string> my_terms;
-  std::vector<uint64_t> cursors;  // parallel to my_terms
+  std::vector<p2p::PollCursor> cursors;  // parallel to my_terms
 };
 
-// kPollResponse — the deduplicated incremental query history. Δ = +4.
+// kPollResponse — the deduplicated incremental query history, with the
+// responder's epoch (drawn anew each time it starts) and the newest
+// arrival it had stamped when it answered: the cursor the owner keeps for
+// every polled term. Δ = +20 (epoch + high-water + record count).
 struct PollResponse {
+  uint64_t epoch = 0;
+  uint64_t high_water = 0;
   std::vector<WireQueryRecord> records;
 };
 

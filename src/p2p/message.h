@@ -97,16 +97,31 @@ struct PostingEntry {
 
 // A query cached at an indexing peer — Section 5.1(b). `hash_key` is the
 // ring key of the query's canonical form, precomputed so the closest-term
-// dedup rule of Section 3 costs only integer comparisons. `seq` is the
-// global issue order, which doubles as the recency for LRU eviction and as
-// a unique id of this issuance. The in-memory form keys terms by interned
-// TermId; on the wire (net::wire::WireQueryRecord) the spellings travel
-// instead, since interner handles are process-local.
+// dedup rule of Section 3 costs only integer comparisons. `seq` identifies
+// this issuance: an owner counts each seq once. `arrival` is the order in
+// which the caching peer stored the record, which poll cursors count. The
+// simulation delivers records to every peer in issue order and sets
+// `arrival` to its global `seq`; a live node stamps it from its own
+// counter. The in-memory form keys terms by interned TermId; on the wire
+// (net::wire::WireQueryRecord) the spellings travel instead, since
+// interner handles are process-local, and `arrival` stays behind: it
+// means something only to the peer that stamped it.
 struct QueryRecord {
   uint32_t id = 0;
   std::vector<text::TermId> terms;
   uint64_t hash_key = 0;
   uint64_t seq = 0;
+  uint64_t arrival = 0;
+};
+
+// How far an owner has pulled one term's query history: the newest
+// `arrival` already pulled through the term from incarnation `epoch` of
+// the peer that caches it. A live node draws a random nonzero epoch each
+// time it starts and counts a cursor of another epoch as 0; the
+// simulation's peers never restart and all use epoch 0.
+struct PollCursor {
+  uint64_t epoch = 0;
+  uint64_t arrival = 0;
 };
 
 }  // namespace sprite::p2p

@@ -43,9 +43,10 @@ StoredPostingsPtr SP(std::vector<PostingEntry> entries) {
   return StoredPostings::FromSortedList(std::move(entries), {});
 }
 
-// Adapter keeping the poll tests in the string domain: interns the terms
-// and derives the ring keys the caller of CollectQueriesForPoll now
-// precomputes from the TermDict.
+// Adapter keeping the poll tests in the string domain: interns the terms,
+// derives the ring keys the caller of CollectQueriesForPoll precomputes
+// from the TermDict, and lines up each my-term's cursor (an arrival; 0
+// when `cursor` has none).
 std::vector<const QueryRecord*> Poll(
     const IndexingPeer& peer, const std::vector<std::string>& poll_terms,
     const std::vector<std::string>& my_terms,
@@ -58,10 +59,13 @@ std::vector<const QueryRecord*> Poll(
   for (const TermId id : poll_ids) {
     poll_keys.push_back(space.Truncate(dict.RawKeyOf(id)));
   }
-  std::unordered_map<TermId, uint64_t> id_cursor;
-  for (const auto& [term, seq] : cursor) id_cursor[T(term)] = seq;
-  return peer.CollectQueriesForPoll(poll_ids, poll_keys, Ts(my_terms),
-                                    id_cursor, space);
+  std::vector<uint64_t> after;
+  for (const std::string& term : my_terms) {
+    auto it = cursor.find(term);
+    after.push_back(it == cursor.end() ? 0 : it->second);
+  }
+  return peer.CollectQueriesForPoll(poll_ids, poll_keys, Ts(my_terms), after,
+                                    space);
 }
 
 // ------------------------------------------------------------ IndexingPeer
@@ -218,6 +222,7 @@ class PollTest : public ::testing::Test {
     corpus::Query q{r.id, terms};
     r.hash_key = space_.KeyForString(q.CanonicalKey());
     r.seq = seq;
+    r.arrival = seq;  // stored in issue order, as the simulation does
     r.terms = Ts(terms);
     return r;
   }
@@ -241,6 +246,23 @@ TEST_F(PollTest, CursorFiltersOldQueries) {
   auto got = Poll(peer_, {"alpha"}, {"alpha"}, cursor, space_);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0]->seq, 5u);
+}
+
+// A term added to the document since the last poll has no cursor: its
+// whole matching history comes back, while the terms beside it that have
+// cursors return only what arrived after theirs.
+TEST_F(PollTest, NewTermWithoutCursorPullsItsWholeHistory) {
+  peer_.RecordQuery(MakeRecord(1, {"alpha"}));
+  peer_.RecordQuery(MakeRecord(2, {"gamma"}));
+  peer_.RecordQuery(MakeRecord(3, {"beta", "zzz"}));
+  peer_.RecordQuery(MakeRecord(4, {"gamma", "zzz"}));
+  peer_.RecordQuery(MakeRecord(5, {"alpha"}));
+  peer_.RecordQuery(MakeRecord(6, {"beta"}));
+  const std::vector<std::string> terms{"alpha", "beta", "gamma"};
+  auto got = Poll(peer_, terms, terms, {{"alpha", 4}, {"beta", 5}}, space_);
+  std::vector<uint64_t> seqs;
+  for (const QueryRecord* r : got) seqs.push_back(r->seq);
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{2, 4, 5, 6}));
 }
 
 TEST_F(PollTest, EmptyMyTermsReturnsNothing) {

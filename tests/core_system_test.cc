@@ -610,7 +610,7 @@ TEST_F(SpriteSystemTest, FailedPollsDoNotAdvanceCursors) {
   const OwnedDocument* owned = system.owner_peer(owner)->document(0);
   ASSERT_NE(owned, nullptr);
   for (const auto& [term, cursor] : owned->poll_cursor) {
-    EXPECT_EQ(cursor, 0u) << "cursor for '" << term
+    EXPECT_EQ(cursor.arrival, 0u) << "cursor for '" << term
                           << "' advanced past unpulled queries";
   }
   const auto* terms_after_outage = system.IndexTermsOf(0);

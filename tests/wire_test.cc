@@ -140,24 +140,65 @@ TEST(WireRoundTrip, PollRequest) {
   PollRequest m;
   m.poll_terms = {kTerm, "zzzzzzzzzz", "qqqqqqqqqq"};
   m.my_terms = {kTerm, "qqqqqqqqqq"};
-  m.cursors = {11, 22};
+  m.cursors = {{0x0123456789abcdefull, 11}, {0, 0}};
   auto out = ParsePollRequest(Recode(ToFrame(m)));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->poll_terms, m.poll_terms);
   EXPECT_EQ(out->my_terms, m.my_terms);
-  EXPECT_EQ(out->cursors, m.cursors);
+  ASSERT_EQ(out->cursors.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(out->cursors[i].epoch, m.cursors[i].epoch) << i;
+    EXPECT_EQ(out->cursors[i].arrival, m.cursors[i].arrival) << i;
+  }
+}
+
+// The cursor block is the rest of the payload: cursors that are not
+// parallel to my_terms parse (the receiving node rejects the request),
+// while a block that is not a whole number of cursors is corrupt.
+TEST(WireRoundTrip, PollRequestCursorsNeedNotBeParallel) {
+  PollRequest m;
+  m.poll_terms = {kTerm};
+  m.my_terms = {kTerm};
+  auto out = ParsePollRequest(ToFrame(m));
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->cursors.empty());
+  m.cursors = {{1, 2}, {3, 4}};
+  out = ParsePollRequest(ToFrame(m));
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->cursors.size(), 2u);
+  EXPECT_EQ(out->cursors[1].epoch, 3u);
+  EXPECT_EQ(out->cursors[1].arrival, 4u);
+  Frame f = ToFrame(m);
+  f.payload.pop_back();
+  out = ParsePollRequest(f);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCorruption);
 }
 
 TEST(WireRoundTrip, PollResponse) {
   PollResponse m;
+  m.epoch = 0xfedcba9876543210ull;
+  m.high_water = 4096;
   m.records = {MakeRecord(), MakeRecord()};
   m.records[1].seq = 999;
   m.records[1].terms = {kTerm, "zzzzzzzzzz"};
   auto out = ParsePollResponse(Recode(ToFrame(m)));
   ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->epoch, m.epoch);
+  EXPECT_EQ(out->high_water, 4096u);
   ASSERT_EQ(out->records.size(), 2u);
   ExpectRecordEq(out->records[0], m.records[0]);
   ExpectRecordEq(out->records[1], m.records[1]);
+
+  // An empty reply still says whose history it read, and how far.
+  PollResponse none;
+  none.epoch = 7;
+  none.high_water = 3;
+  out = ParsePollResponse(Recode(ToFrame(none)));
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->epoch, 7u);
+  EXPECT_EQ(out->high_water, 3u);
+  EXPECT_TRUE(out->records.empty());
 }
 
 TEST(WireRoundTrip, JoinRequestAndResponse) {
@@ -214,11 +255,16 @@ TEST(WireMalformed, BadMagic) {
 }
 
 TEST(WireMalformed, UnknownVersion) {
-  std::vector<uint8_t> bytes = EncodeFrame(ToFrame(WithdrawTerm{kTerm, 1}));
-  bytes[4] = 0x7f;  // version low byte
-  StatusOr<Frame> out = DecodeFrame(bytes);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  // 1 is the version before poll cursors carried epochs: its poll layouts
+  // differ, so a node speaking 2 must not parse its frames.
+  for (const uint8_t version : {uint8_t{0x7f}, uint8_t{1}}) {
+    std::vector<uint8_t> bytes = EncodeFrame(ToFrame(WithdrawTerm{kTerm, 1}));
+    bytes[4] = version;  // version low byte
+    StatusOr<Frame> out = DecodeFrame(bytes);
+    ASSERT_FALSE(out.ok()) << int{version};
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+        << int{version};
+  }
 }
 
 TEST(WireMalformed, UnknownMessageType) {
@@ -341,23 +387,23 @@ TEST(WireParity, QueryResponse) {  // Δ = +12 (count + term version)
                 postings.size() * p2p::kPostingEntryBytes + 12);
 }
 
-TEST(WireParity, PollRequest) {  // Δ = +8 + 20·|my_terms|
+TEST(WireParity, PollRequest) {  // Δ = +8 + 28·|my_terms|
   PollRequest m;
   m.poll_terms = {kTerm, "zzzzzzzzzz", "qqqqqqqqqq"};
   m.my_terms = {kTerm, "qqqqqqqqqq"};
-  m.cursors = {0, 0};
+  m.cursors = {{0, 0}, {0, 0}};
   EXPECT_EQ(FrameBytes(ToFrame(m)),
             p2p::kMessageHeaderBytes +
                 m.poll_terms.size() * p2p::kTermBytes + 8 +
-                20 * m.my_terms.size());
+                28 * m.my_terms.size());
 }
 
-TEST(WireParity, PollResponse) {  // Δ = +4 (record count)
+TEST(WireParity, PollResponse) {  // Δ = +20 (epoch, high-water, count)
   PollResponse m;
   m.records = {MakeRecord(), MakeRecord()};
   EXPECT_EQ(FrameBytes(ToFrame(m)),
             p2p::kMessageHeaderBytes +
-                m.records.size() * p2p::kQueryRecordBytes + 4);
+                m.records.size() * p2p::kQueryRecordBytes + 20);
 }
 
 TEST(WireParity, CanonicalRecordMatchesCostConstant) {

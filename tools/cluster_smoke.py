@@ -19,11 +19,18 @@ cluster-report` and asserts that at least one search trace stitches spans
 from two or more distinct daemons, then drains /trace directly and checks
 the JSONL parses line by line.
 
-The final leg exercises persistence (DESIGN.md section 15): every daemon
-flushes its index to a --data-dir, one daemon is killed and restarted from
-that directory, and the full query set must still match the simulation
+The persistence leg (DESIGN.md section 15): every daemon flushes its
+index to a --data-dir, one daemon is killed and restarted from that
+directory, and the full query set must still match the simulation
 score-for-score — both served by the survivor and by the restarted node
 itself.
+
+The last legs learn on after the restart: a /record at n0 and a /learn at
+every daemon must answer 200, and that round must pull the new records.
+Then concurrent /learn rounds, at most 5, run until one pulls no record at
+any daemon (learning.pulled_queries unchanged while learning.polls grows):
+poll cursors count each member's arrivals, so once no document changes
+its index terms, a round re-ships nothing.
 
 Usage: cluster_smoke.py <build_dir>
 """
@@ -122,6 +129,27 @@ def http(method, port, path, body=None, deadline_s=10.0):
             last_error = e
             time.sleep(0.05)
     fail("HTTP %s %s never succeeded: %s" % (method, url, last_error))
+
+
+def counter(node, name):
+    """The unlabelled counter `name` on a daemon's /metrics (0 if absent)."""
+    metrics = json.loads(http("GET", node["http"], "/metrics"))
+    for c in metrics["counters"]:
+        if c["name"] == name and not c.get("label"):
+            return c["value"]
+    return 0
+
+
+def learn_everywhere(nodes):
+    """One concurrent /learn at every daemon; returns the polls sent and
+    the records pulled, per daemon, by that round."""
+    def counts():
+        return [(counter(n, "learning.polls"),
+                 counter(n, "learning.pulled_queries")) for n in nodes]
+    before = counts()
+    with concurrent.futures.ThreadPoolExecutor(len(nodes)) as pool:
+        list(pool.map(lambda n: http("POST", n["http"], "/learn"), nodes))
+    return [(a[0] - b[0], a[1] - b[1]) for a, b in zip(counts(), before)]
 
 
 def parse_batch_results(output):
@@ -264,7 +292,7 @@ def main():
                          % (node["name"], key, health))
             if health["name"] != node["name"]:
                 fail("/health name mismatch: %r" % health)
-            if health["wire_version"] != 1:
+            if health["wire_version"] != 2:
                 fail("unexpected wire version: %r" % health)
             if health["trace_enabled"] is not True:
                 fail("%s not tracing despite --trace" % node["name"])
@@ -353,11 +381,37 @@ def main():
                          "  cluster: %r\n  sim:     %r"
                          % (i, serving["name"], got, reference[i]))
 
+        # --- Learning after the restart -----------------------------------
+        # The restarted n1 owns no documents (owner state is not
+        # persisted) and answers polls under a new epoch, so the owners'
+        # old cursors for its terms count from 0 there. http() fails on
+        # any answer but 200.
+        http("POST", nodes[0]["http"], "/record", "\n".join(QUERIES) + "\n")
+        after_restart = learn_everywhere(nodes)
+        if sum(pulled for _, pulled in after_restart) == 0:
+            fail("the round after a /record pulled no record: %r"
+                 % after_restart)
+
+        # --- Incremental polls --------------------------------------------
+        # Nothing is recorded from here on. Once a round changes no
+        # document's index terms, the next one finds every polled term's
+        # cursor at its member's high-water mark and pulls nothing.
+        rounds = []
+        while not rounds or any(pulled for _, pulled in rounds[-1]):
+            if len(rounds) == 5:
+                fail("5 /learn rounds in a row pulled records (polls, "
+                     "pulled per daemon): %r" % rounds)
+            rounds.append(learn_everywhere(nodes))
+            if sum(polls for polls, _ in rounds[-1]) == 0:
+                fail("a /learn round sent no poll: %r" % rounds)
+
         print("cluster smoke: 3 daemons, %d docs, %d queries x%d, %d "
               "learning iterations - live rankings match the sim, "
-              "cluster-report stitched %s cross-node trace(s), and the "
-              "rankings survive a kill/restart recovery"
-              % (len(DOCS), len(QUERIES), TRAIN, ITERS, stitched.group(1)))
+              "cluster-report stitched %s cross-node trace(s), the "
+              "rankings survive a kill/restart recovery, learning goes on "
+              "after it, and learning round %d pulled no record"
+              % (len(DOCS), len(QUERIES), TRAIN, ITERS, stitched.group(1),
+                 len(rounds)))
     finally:
         for proc in daemons:
             if proc.poll() is None:
