@@ -12,6 +12,7 @@
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/learning.h"
 
 namespace {
@@ -27,7 +28,7 @@ struct Workload {
 Workload MakeWorkload(size_t history_size) {
   Rng rng(history_size * 7919 + 3);
   std::vector<std::string> vocab;
-  for (int i = 0; i < 200; ++i) vocab.push_back("t" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) vocab.push_back(StrFormat("t%d", i));
 
   Workload w;
   std::vector<std::string> doc_tokens;

@@ -1,8 +1,7 @@
 // Section-7 extension bench: load balancing under a skewed (Zipf) query
 // stream. Hot query terms concentrate traffic on their indexing peers;
 // LAR-style hot-term caching (RunHotTermCaching) spreads that load to the
-// peers of co-occurring terms and saves lookups. The overload advisory
-// handles the complementary problem of popular *index* terms.
+// peers of co-occurring terms and saves lookups.
 
 #include <algorithm>
 #include <unordered_map>

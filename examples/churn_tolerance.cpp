@@ -1,6 +1,5 @@
-// Section-7 features in action: successor replication of index entries,
-// failure-tolerant query processing, and the overload advisory that moves
-// a too-popular term out of a hot indexing peer.
+// Section-7 features in action: successor replication of index entries
+// and failure-tolerant query processing.
 
 #include <cstdio>
 
@@ -79,17 +78,6 @@ int main() {
        system.Search(Q(2, {"storage"}), 3, /*record=*/false));
   Show("multi-term 'storage consensus':",
        system.Search(Q(3, {"storage", "consensus"}), 3, /*record=*/false));
-
-  // Overload advisory: pretend any term indexed by >= 2 documents
-  // overloads its peer; owners swap it for their next-best term.
-  const size_t replaced = system.RunOverloadAdvisories(/*threshold=*/1);
-  std::printf("\noverload advisories replaced %zu (document, term) "
-              "assignments\n",
-              replaced);
-  Show("'storage' after advisories:",
-       system.Search(Q(4, {"storage"}), 3, /*record=*/false));
-  Show("'replica' (newly indexed instead):",
-       system.Search(Q(5, {"replica"}), 3, /*record=*/false));
 
   std::printf("\nring: %zu of %zu peers alive; lookups so far: %llu "
               "(%.2f hops mean)\n",

@@ -34,8 +34,9 @@ void IndexingPeer::AddPosting(TermId term, const PostingEntry& entry) {
   auto [it, inserted] = index_.try_emplace(term, empty_);
   bool changed = false;
   StoredPostingsPtr next = it->second->Upserted(entry, &changed);
-  // Re-publishing an unchanged posting (e.g. a heartbeat repair that raced
-  // nothing) must not invalidate downstream caches.
+  // Re-publishing an unchanged posting (e.g. UpdateDocument re-sending a
+  // term whose frequency did not change) must not invalidate downstream
+  // caches.
   if (!changed) return;
   it->second = std::move(next);
   ++term_versions_[term];
@@ -87,8 +88,8 @@ std::vector<TermId> IndexingPeer::IndexedTerms() const {
   std::vector<TermId> terms;
   terms.reserve(index_.size());
   for (const auto& [term, _] : index_) terms.push_back(term);
-  // Callers feed this into replication, advisories, and dumps; hand them a
-  // pinned order rather than the map's hash order.
+  // Callers feed this into benches and dumps; hand them a pinned order
+  // rather than the map's hash order.
   std::sort(terms.begin(), terms.end());
   return terms;
 }

@@ -1,12 +1,10 @@
 #ifndef SPRITE_CORE_INDEXING_PEER_H_
 #define SPRITE_CORE_INDEXING_PEER_H_
 
-#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -79,14 +77,11 @@ class IndexingPeer {
   // Monotone per-term change counter: bumped whenever the serveable
   // postings of `term` change here (primary add/remove, replica refresh,
   // withdrawal scrubs). 0 means the term was never stored on this peer.
-  // Counters are never reset or handed off, so a (peer, term, version)
-  // triple identifies exactly one state of the list — the invariant the
-  // version-check protocol of the query caches relies on. A term that
-  // moves to another peer fails the checker's responsibility test instead.
+  // Counters are never reset, so a (peer, term, version) triple identifies
+  // exactly one state of the list — the invariant the version-check
+  // protocol of the query caches relies on. A term that moves to another
+  // peer fails the checker's responsibility test instead.
   uint64_t TermVersion(TermId term) const;
-  const std::unordered_map<TermId, uint64_t>& term_versions() const {
-    return term_versions_;
-  }
 
   // --- Persistence (src/store, DESIGN.md §15) -----------------------------
   // Installs a recovered primary list and its version counter verbatim.
@@ -105,49 +100,6 @@ class IndexingPeer {
   // The cached list for `term`, or nullptr. Unlike Postings(), this never
   // consults the primary index.
   PostingListPtr CachedPostings(TermId term) const;
-  size_t num_cached_terms() const { return cache_.size(); }
-
-  // --- Responsibility handoff (peer join) --------------------------------
-  // Removes and returns every primary inverted list whose term satisfies
-  // `should_move`, together with the history records that now belong to
-  // the new peer (records where `should_move` holds for at least one
-  // term). Records whose every responsible term moved away are dropped
-  // from this peer's history.
-  struct Handoff {
-    std::vector<std::pair<TermId, StoredPostingsPtr>> lists;
-    std::vector<QueryRecord> records;
-  };
-  template <typename Pred>
-  Handoff ExtractEntries(const Pred& should_move) {
-    Handoff handoff;
-    handoff.lists.reserve(index_.size());
-    for (auto it = index_.begin(); it != index_.end();) {
-      if (should_move(it->first)) {
-        handoff.lists.emplace_back(it->first, std::move(it->second));
-        it = index_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // The index iterates in hash order, which depends on the hash seed and
-    // standard-library internals. The handoff's order is observable — it
-    // fixes the receiving peer's insertion order and the transfer's
-    // accounting order — so pin it to the term ids.
-    std::sort(handoff.lists.begin(), handoff.lists.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    handoff.records.reserve(history_.size());
-    std::deque<QueryRecord> kept;
-    for (auto& record : history_) {
-      bool moves = false, stays = false;
-      for (const TermId term : record.terms) {
-        (should_move(term) ? moves : stays) = true;
-      }
-      if (moves) handoff.records.push_back(record);
-      if (stays) kept.push_back(std::move(record));
-    }
-    history_ = std::move(kept);
-    return handoff;
-  }
 
   // --- Query history ------------------------------------------------------
   // Caches one issuance of a query; evicts the oldest when full.

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/md5.h"
 #include "common/string_util.h"
 #include "common/topk.h"
 #include "core/ranking.h"
-#include "ir/similarity.h"
 
 namespace sprite::core {
 
@@ -1434,86 +1430,6 @@ void SpriteSystem::StabilizeNetwork(int rounds) {
   ring_.StabilizeAll(rounds);
 }
 
-size_t SpriteSystem::RunOverloadAdvisories(uint32_t threshold) {
-  // Collect the overloaded (peer, term) pairs first; owners mutate the
-  // indexes while we act on the advisories.
-  const TermDict& dict = TermDict::Global();
-  struct Advisory {
-    TermId term = kInvalidTermId;
-    PeerId peer_id = 0;
-    PostingListPtr postings;  // decoded snapshot, frozen by immutability
-  };
-  std::vector<Advisory> advisories;
-  for (const auto& [peer_id, peer] : indexing_) {
-    const dht::ChordNode* node = ring_.node(peer_id);
-    if (node == nullptr || !node->alive) continue;
-    for (const auto& [term, plist] : peer.index()) {
-      if (plist->size() > threshold) {
-        advisories.push_back({term, peer_id, plist->Snapshot()});
-      }
-    }
-  }
-  // Id-keyed stores iterate in hash order; process advisories in spelling
-  // order so replacement choices are stable across runs and platforms. The
-  // same term can be overloaded on two peers at once (a replica left behind
-  // by churn), and std::sort is not stable — break spelling ties on the
-  // holding peer so those duplicates keep a fixed relative order too.
-  std::sort(advisories.begin(), advisories.end(),
-            [&dict](const Advisory& a, const Advisory& b) {
-              const std::string& sa = dict.TermOf(a.term);
-              const std::string& sb = dict.TermOf(b.term);
-              if (sa != sb) return sa < sb;
-              return a.peer_id < b.peer_id;
-            });
-
-  size_t replacements = 0;
-  for (const Advisory& adv : advisories) {
-    const std::string& adv_term = dict.TermOf(adv.term);
-    for (const PostingEntry& posting : *adv.postings) {
-      auto owner_it = owners_.find(posting.owner);
-      if (owner_it == owners_.end()) continue;
-      OwnedDocument* owned = owner_it->second.document(posting.doc);
-      if (owned == nullptr || !owned->IsIndexed(adv_term)) continue;
-      (void)bus_.CostSend(posting.owner, p2p::MessageType::kAdvisory,
-                          p2p::kTermBytes, DirectCallOptions());
-
-      // The owner discards the popular term and publishes an analogously
-      // important one: its best-ranked unindexed candidate, falling back
-      // to the next most frequent document term.
-      std::string replacement;
-      std::vector<ScoredTerm> ranked = ProcessQueriesAndRank(
-          owned->content->terms, owned->stats, {}, config_.score_variant);
-      for (const ScoredTerm& cand : ranked) {
-        if (cand.term != adv_term && !owned->IsIndexed(cand.term)) {
-          replacement = cand.term;
-          break;
-        }
-      }
-      if (replacement.empty()) {
-        for (const auto& tf : owned->content->terms.SortedTerms()) {
-          if (tf.term != adv_term && !owned->IsIndexed(tf.term)) {
-            replacement = tf.term;
-            break;
-          }
-        }
-      }
-
-      WithdrawTerm(posting.owner, adv_term, posting.doc);
-      auto it = std::find(owned->index_terms.begin(),
-                          owned->index_terms.end(), adv_term);
-      if (it != owned->index_terms.end()) owned->index_terms.erase(it);
-      owned->poll_cursor.erase(adv.term);
-      if (!replacement.empty()) {
-        owned->index_terms.push_back(replacement);
-        PublishTerm(posting.owner, replacement,
-                    MakePosting(*owned, replacement, posting.owner));
-      }
-      ++replacements;
-    }
-  }
-  return replacements;
-}
-
 Status SpriteSystem::UnshareDocument(DocId doc) {
   auto it = doc_owner_.find(doc);
   if (it == doc_owner_.end()) {
@@ -1568,216 +1484,6 @@ Status SpriteSystem::UpdateDocument(const corpus::Document& doc) {
         PublishTerm(owner_id, term, MakePosting(*owned, term, owner_id)));
   }
   return Status::OK();
-}
-
-StatusOr<PeerId> SpriteSystem::JoinPeer(const std::string& name) {
-  StatusOr<uint64_t> id_or = ring_.Join(name);
-  if (!id_or.ok()) return id_or.status();
-  return CompleteJoin(id_or.value());
-}
-
-PeerId SpriteSystem::CompleteJoin(PeerId id) {
-  obs::ScopedSpan span(&tracer_, "peer.join", id);
-  indexing_.emplace(id, IndexingPeer(id, config_.history_capacity));
-  owners_.emplace(id, OwnerPeer(id));
-  peer_ids_.insert(
-      std::upper_bound(peer_ids_.begin(), peer_ids_.end(), id), id);
-
-  // The successor hands over the inverted lists and cached queries of the
-  // key arc the newcomer now owns.
-  const std::vector<PeerId> succs = ring_.SuccessorsOf(id, 1);
-  if (!succs.empty() && succs[0] != id) {
-    IndexingPeer::Handoff handoff =
-        indexing_.at(succs[0]).ExtractEntries([&](TermId term) {
-          StatusOr<uint64_t> owner = ring_.ResponsibleNode(RingKeyOf(term));
-          return owner.ok() && owner.value() == id;
-        });
-    TransferHandoff(std::move(handoff), id, span);
-  }
-  metrics_.Add("peers.joined");
-  UpdateMembershipGauges();
-  return id;
-}
-
-void SpriteSystem::TransferHandoff(IndexingPeer::Handoff handoff, PeerId to,
-                                   obs::ScopedSpan& span) {
-  IndexingPeer& receiver = indexing_.at(to);
-  uint64_t handoff_bytes = 0;
-  for (auto& [term, plist] : handoff.lists) {
-    const size_t payload =
-        p2p::kTermBytes + plist->size() * p2p::kPostingEntryBytes;
-    (void)bus_.CostSend(to, p2p::MessageType::kKeyTransfer, payload,
-                        DirectCallOptions());
-    handoff_bytes += p2p::kMessageHeaderBytes + payload;
-    // Snapshot order is ascending doc id, so every AddPosting below hits
-    // the append fast path of the receiving store.
-    for (const PostingEntry& entry : *plist->Snapshot()) {
-      receiver.AddPosting(term, entry);
-    }
-  }
-  for (const QueryRecord& record : handoff.records) {
-    (void)bus_.CostSend(to, p2p::MessageType::kKeyTransfer,
-                        p2p::kQueryRecordBytes, DirectCallOptions());
-    handoff_bytes += p2p::kMessageHeaderBytes + p2p::kQueryRecordBytes;
-    receiver.RecordQuery(record);
-  }
-  tracer_.clock().AdvanceMs(latency_.TransferMs(handoff_bytes));
-  span.Annotatef("handoff_bytes", "%llu",
-                 static_cast<unsigned long long>(handoff_bytes));
-}
-
-Status SpriteSystem::RebalanceRange() {
-  metrics_.Add("rebalance.attempts");
-  obs::ScopedSpan rebalance_span(&tracer_, "rebalance", "system");
-  if (ring_.num_alive() < 3) {
-    return Status::FailedPrecondition("need at least three alive peers");
-  }
-  // Most- and least-loaded indexing peers by stored postings.
-  PeerId hot = 0, cold = 0;
-  size_t hot_load = 0, cold_load = std::numeric_limits<size_t>::max();
-  for (const auto& [id, peer] : indexing_) {
-    const dht::ChordNode* node = ring_.node(id);
-    if (node == nullptr || !node->alive) continue;
-    const size_t load = peer.num_postings();
-    if (load > hot_load || (load == hot_load && id < hot)) {
-      hot = id;
-      hot_load = load;
-    }
-    if (load < cold_load || (load == cold_load && id < cold)) {
-      cold = id;
-      cold_load = load;
-    }
-  }
-  if (hot == cold || hot_load <= cold_load + 1) {
-    return Status::FailedPrecondition("load is already balanced");
-  }
-
-  // The invitee abandons its current range (passing it to its successor)
-  // and re-joins at the midpoint of the overloaded peer's arc.
-  const dht::ChordNode* hot_node = ring_.node(hot);
-  SPRITE_CHECK(hot_node != nullptr && hot_node->predecessor.has_value());
-  const uint64_t pred = *hot_node->predecessor;
-  const uint64_t span = ring_.space().Distance(pred, hot);
-  if (span < 2) {
-    return Status::FailedPrecondition("overloaded arc cannot be split");
-  }
-  SPRITE_RETURN_IF_ERROR(LeavePeer(cold));
-
-  uint64_t mid = ring_.space().Add(pred, span / 2);
-  StatusOr<uint64_t> joined(Status::Internal("unset"));
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    joined = ring_.JoinWithId(
-        mid, StrFormat("rebalance-%llu",
-                       static_cast<unsigned long long>(mid)));
-    if (joined.ok()) break;
-    mid = ring_.space().Add(mid, 1);
-  }
-  if (!joined.ok()) return joined.status();
-  CompleteJoin(joined.value());
-  metrics_.Add("rebalance.moves");
-  return Status::OK();
-}
-
-Status SpriteSystem::LeavePeer(PeerId id) {
-  const dht::ChordNode* node = ring_.node(id);
-  if (node == nullptr || !node->alive) {
-    return Status::NotFound("no such alive peer");
-  }
-  if (ring_.num_alive() <= 1) {
-    return Status::FailedPrecondition("cannot drain the last peer");
-  }
-  obs::ScopedSpan span(&tracer_, "peer.leave", id);
-
-  // Hand every primary inverted list and cached query to the successor.
-  const std::vector<PeerId> succs = ring_.SuccessorsOf(id, 1);
-  SPRITE_CHECK(!succs.empty());
-  IndexingPeer::Handoff handoff =
-      indexing_.at(id).ExtractEntries([](TermId) { return true; });
-  TransferHandoff(std::move(handoff), succs[0], span);
-
-  // Patch the ring first so re-owned documents never pick the leaver.
-  SPRITE_RETURN_IF_ERROR(ring_.Leave(id));
-  peer_ids_.erase(std::remove(peer_ids_.begin(), peer_ids_.end(), id),
-                  peer_ids_.end());
-
-  // Shared documents migrate to new owner peers, and their postings are
-  // re-published so indexing peers learn the new owner address.
-  OwnerPeer& leaving_owner = owners_.at(id);
-  std::vector<DocId> moved;
-  for (const auto& [doc_id, _] : leaving_owner.documents()) {
-    moved.push_back(doc_id);
-  }
-  for (DocId doc_id : moved) {
-    OwnedDocument owned = std::move(leaving_owner.mutable_documents()[doc_id]);
-    leaving_owner.mutable_documents().erase(doc_id);
-    const PeerId new_owner_id =
-        PickPeer(0x9e3779b97f4a7c15ULL * (doc_id + 1) ^ id);
-    OwnerPeer& new_owner = owners_.at(new_owner_id);
-    OwnedDocument& dest = new_owner.AdoptDocument(owned.content);
-    dest = std::move(owned);
-    doc_owner_[doc_id] = new_owner_id;
-    for (const std::string& term : dest.index_terms) {
-      PublishTerm(new_owner_id, term,
-                  MakePosting(dest, term, new_owner_id));
-    }
-  }
-
-  indexing_.erase(id);
-  owners_.erase(id);
-  metrics_.Add("peers.left");
-  UpdateMembershipGauges();
-  return Status::OK();
-}
-
-size_t SpriteSystem::RunHeartbeats() {
-  size_t probes = 0;
-  size_t republished = 0;
-  uint64_t probe_hops = 0;
-  uint64_t probe_bytes = 0;
-  obs::ScopedWallTimer round_wall(&wall_, "perf.heartbeats.run");
-  obs::ScopedSpan round_span(&tracer_, "heartbeat.round", "system");
-  for (auto& [owner_id, owner] : owners_) {
-    const dht::ChordNode* node = ring_.node(owner_id);
-    if (node == nullptr || !node->alive) continue;
-    for (auto& [doc_id, owned] : owner.mutable_documents()) {
-      for (const std::string& term : owned.index_terms) {
-        const TermId id = TermDict::Global().Intern(term);
-        obs::ScopedSpan probe_span(&tracer_, "heartbeat.probe", owner_id);
-        probe_span.Annotate("term", term);
-        const StatusOr<dht::ChordRing::LookupResult> route =
-            CommitRoute(ring_.PlanFindSuccessor(owner_id, RingKeyOf(id)));
-        if (!route.ok()) continue;  // arc unreachable; retry next period
-        const PeerId target = route->node;
-        const uint64_t bytes_before = probe_bytes;
-        (void)bus_.CostSend(target, p2p::MessageType::kHeartbeat,
-                            p2p::kTermBytes, DirectCallOptions());
-        ++probes;
-        probe_hops += static_cast<uint64_t>(route->hops);
-        probe_bytes += p2p::kMessageHeaderBytes + p2p::kTermBytes;
-        // A live peer that lost the posting (e.g. responsibility moved to
-        // it after an unreplicated failure) gets it re-published.
-        IndexingPeer& peer = indexing_.at(target);
-        if (!peer.HasPosting(id, doc_id)) {
-          (void)bus_.CostSend(target, p2p::MessageType::kPublishTerm,
-                              p2p::kTermBytes + p2p::kPostingEntryBytes,
-                              DirectCallOptions());
-          probe_bytes += p2p::kMessageHeaderBytes + p2p::kTermBytes +
-                         p2p::kPostingEntryBytes;
-          peer.AddPosting(id, MakePosting(owned, term, owner_id));
-          ++republished;
-        }
-        tracer_.clock().AdvanceMs(
-            latency_.RequestMs(1) +
-            latency_.TransferMs(probe_bytes - bytes_before));
-      }
-    }
-  }
-  metrics_.Add("heartbeat.rounds");
-  metrics_.Add("heartbeat.probes", probes);
-  metrics_.Add("heartbeat.republished", republished);
-  metrics_.Observe("latency.heartbeat.round_ms",
-                   latency_.OperationMs(probe_hops, probes, probe_bytes));
-  return probes;
 }
 
 size_t SpriteSystem::RunHotTermCaching(size_t top_terms) {
@@ -1850,110 +1556,6 @@ size_t SpriteSystem::RunHotTermCaching(size_t top_terms) {
     }
   }
   return placements;
-}
-
-StatusOr<ir::RankedList> SpriteSystem::SearchWithExpansion(
-    const corpus::Query& query, size_t k, size_t extra_terms,
-    size_t feedback_docs) {
-  // The inner Search() calls and the feedback fetch nest under this root.
-  obs::ScopedSpan span(&tracer_, "search.expanded", "system");
-  span.Annotatef("query", "%u", query.id);
-  StatusOr<ir::RankedList> initial =
-      Search(query, std::max(k, feedback_docs), /*record=*/true);
-  if (!initial.ok()) return initial.status();
-  if (extra_terms == 0 || initial->empty()) {
-    ir::RankedList out = std::move(initial).value();
-    ir::SortRankedList(out, k);
-    return out;
-  }
-
-  // Retrieval phase for the feedback set: download the top documents from
-  // their owner peers and analyze them locally (local context analysis
-  // needs no global statistics).
-  const size_t depth = std::min(feedback_docs, initial->size());
-  std::vector<const corpus::Document*> feedback;
-  obs::ScopedSpan fetch_span(&tracer_, "feedback.fetch", "system");
-  uint64_t feedback_bytes = 0;
-  for (size_t i = 0; i < depth; ++i) {
-    const DocId doc = (*initial)[i].doc;
-    auto owner_it = doc_owner_.find(doc);
-    if (owner_it == doc_owner_.end()) continue;
-    const OwnedDocument* owned =
-        owners_.at(owner_it->second).document(doc);
-    if (owned == nullptr) continue;
-    (void)bus_.BeginExchange(owner_it->second,
-                             p2p::MessageType::kQueryRequest, p2p::kTermBytes,
-                             DirectCallOptions());
-    bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
-                          static_cast<size_t>(owned->content->length()) * 6);
-    feedback_bytes += 2 * p2p::kMessageHeaderBytes + p2p::kTermBytes +
-                      static_cast<uint64_t>(owned->content->length()) * 6;
-    feedback.push_back(owned->content);
-  }
-  tracer_.clock().AdvanceMs(
-      latency_.RequestMs(feedback.size()) +
-      latency_.TransferMs(feedback_bytes));
-  fetch_span.Annotatef("docs", "%zu", feedback.size());
-  fetch_span.End();
-
-  // Score co-occurring candidate terms within the feedback set: damped
-  // term frequency times a feedback-set IDF, so terms concentrated in a
-  // few top documents win over ubiquitous ones.
-  std::unordered_map<std::string, double> tf_score;
-  std::unordered_map<std::string, uint32_t> df;
-  for (const corpus::Document* doc : feedback) {
-    for (const auto& [term, freq] : doc->terms.counts()) {
-      if (query.ContainsTerm(term)) continue;
-      tf_score[term] += std::log(1.0 + static_cast<double>(freq));
-      df[term] += 1;
-    }
-  }
-  std::vector<std::pair<double, std::string>> candidates;
-  candidates.reserve(tf_score.size());
-  const double f = static_cast<double>(feedback.size());
-  for (auto& [term, score] : tf_score) {
-    const double idf = std::log((f + 1.0) / static_cast<double>(df[term]));
-    candidates.emplace_back(score * idf, term);
-  }
-  // Only the top extra_terms candidates are ever consumed; bounded
-  // selection replaces the full sort (same comparator, same winners).
-  TopKInPlace(candidates, extra_terms,
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-
-  // Expansion terms are evidence, not the user's words: retrieve with them
-  // separately and fuse at reduced weight, so they can surface missed
-  // documents without drowning the original ranking.
-  corpus::Query expansion_only;
-  expansion_only.id = query.id;
-  for (size_t i = 0; i < candidates.size() && i < extra_terms; ++i) {
-    expansion_only.terms.push_back(candidates[i].second);
-  }
-  if (expansion_only.empty()) {
-    ir::RankedList out = std::move(initial).value();
-    ir::SortRankedList(out, k);
-    return out;
-  }
-  StatusOr<ir::RankedList> extra =
-      Search(expansion_only, 0, /*record=*/false);
-
-  constexpr double kExpansionWeight = 0.4;
-  std::unordered_map<DocId, double> fused;
-  for (const ir::ScoredDoc& scored : *initial) {
-    fused[scored.doc] += scored.score;
-  }
-  if (extra.ok()) {
-    for (const ir::ScoredDoc& scored : *extra) {
-      fused[scored.doc] += kExpansionWeight * scored.score;
-    }
-  }
-  ir::RankedList out;
-  out.reserve(fused.size());
-  for (const auto& [doc, score] : fused) out.push_back({doc, score});
-  ir::SortRankedList(out, k);
-  return out;
 }
 
 const std::vector<std::string>* SpriteSystem::IndexTermsOf(DocId doc) const {

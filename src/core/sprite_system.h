@@ -42,8 +42,8 @@ enum class MissCause {
   // A query term was published once but later withdrawn by learning.
   kWithdrawn,
   // A query term is in the doc's current index set, but the responsible
-  // peer cannot serve its posting (failed without a replica, or the
-  // posting vanished in a handoff gap).
+  // peer cannot serve its posting (the peer that held it failed without a
+  // replica).
   kChurnLost,
 };
 
@@ -139,23 +139,6 @@ class SpriteSystem {
   // withdrawn. Learned statistics for vanished terms are dropped.
   Status UpdateDocument(const corpus::Document& doc);
 
-  // --- Membership dynamics ---------------------------------------------------
-  // A new peer joins the running network: it enters the Chord ring and its
-  // successor hands over the inverted lists and cached queries for the key
-  // arc the newcomer is now responsible for. Returns the new peer's id.
-  StatusOr<PeerId> JoinPeer(const std::string& name);
-  // A peer departs gracefully: its inverted lists and cached queries move
-  // to its successor, its shared documents are re-owned by another peer,
-  // and the ring is patched. (Abrupt departure is FailPeer.)
-  Status LeavePeer(PeerId id);
-  // Range-partition load sharing (Section 7, load balance (b)): the peer
-  // storing the most postings invites the one storing the fewest to share
-  // its range — the invitee "passes over its original partition to its
-  // successor" (LeavePeer) and re-joins at the midpoint of the overloaded
-  // peer's arc, taking half of its keys. No-op (kFailedPrecondition) when
-  // fewer than three peers are alive or the load is already flat.
-  Status RebalanceRange();
-
   // --- Section 7 extensions -------------------------------------------------
   // Copies every indexing peer's inverted lists to its
   // `replication_factor` successors.
@@ -164,17 +147,6 @@ class SpriteSystem {
   Status FailPeer(PeerId id);
   // Runs stabilization rounds so the ring routes around failures.
   void StabilizeNetwork(int rounds);
-  // Owner peers probe the indexing peers of every published term to check
-  // they are still alive (the periodic maintenance the introduction calls
-  // out as a cost driver). Missing postings — e.g. lost to an unreplicated
-  // failure — are re-published to the current responsible peer. Returns
-  // the number of probes sent.
-  size_t RunHeartbeats();
-  // Overload advisory (Section 7, load balance (a)): indexing peers advise
-  // owners of terms whose indexed document frequency exceeds `threshold`;
-  // owners replace those terms with their next-best candidate. Returns the
-  // number of (document, term) replacements performed.
-  size_t RunOverloadAdvisories(uint32_t threshold);
   // LAR-style hot-term caching (Section 7, load balance (b)): finds the
   // `top_terms` most queried terms across peer histories and pushes their
   // inverted lists into the caches of the peers responsible for terms that
@@ -182,13 +154,6 @@ class SpriteSystem {
   // `SpriteConfig::use_hot_term_cache` is set, Search() consults these
   // caches and skips contacting the hot peer. Returns cache placements.
   size_t RunHotTermCaching(size_t top_terms);
-  // Search with local-context-analysis query expansion (Section 7, third
-  // extension): runs the query, downloads the top `feedback_docs` results
-  // from their owner peers (counted as traffic), extracts co-occurring
-  // expansion terms locally, and re-runs the enriched query.
-  StatusOr<ir::RankedList> SearchWithExpansion(const corpus::Query& query,
-                                               size_t k, size_t extra_terms,
-                                               size_t feedback_docs = 10);
 
   // --- Introspection ---------------------------------------------------------
   // Current global index terms of `doc` (nullptr when unknown).
@@ -200,12 +165,10 @@ class SpriteSystem {
   const dht::ChordRing& ring() const { return ring_; }
   dht::ChordRing& mutable_ring() { return ring_; }
   // The simulated bus every direct send, exchange and routing hop is
-  // charged to (DESIGN.md §14), and its per-type frame/byte/timeout/retry
+  // charged to (DESIGN.md §14) keeps a per-type frame/byte/timeout/retry
   // ledger. network_stats() and transport_stats() are the same ledger.
-  const net::Transport& transport() const { return bus_; }
   const net::TransportStats& network_stats() const { return bus_.stats(); }
   const net::TransportStats& transport_stats() const { return bus_.stats(); }
-  net::SimTransport& mutable_bus() { return bus_; }
   // Deadline/retry policy for direct exchanges, from the config knobs.
   net::CallOptions DirectCallOptions() const {
     return net::CallOptions{config_.peer_timeout_ms, config_.send_retries,
@@ -215,10 +178,10 @@ class SpriteSystem {
   // transport.* counters from the registry so both views stay in sync.
   void ClearNetworkStats() { bus_.ClearStats(); }
   // The observability registry: per-phase counters and latency histograms
-  // for search (route/fetch/rank), learning polls, heartbeats, replication
-  // and rebalancing, plus the per-message-type traffic mirrored from
-  // network_stats() and the Chord lookup distribution. Snapshot() +
-  // ToJson() produce the BENCH_*.json payload.
+  // for search (route/fetch/rank), learning polls and replication, plus the
+  // per-message-type traffic mirrored from network_stats() and the Chord
+  // lookup distribution. Snapshot() + ToJson() produce the BENCH_*.json
+  // payload.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::MetricsRegistry& mutable_metrics() { return metrics_; }
   // Full observability reset: registry, traffic accounting, Chord routing
@@ -236,9 +199,8 @@ class SpriteSystem {
     UpdateMembershipGauges();
   }
   // The tracer: span trees over a simulated clock for every instrumented
-  // operation (search, publish/withdraw, learning, heartbeats, replication,
-  // membership). Disabled by default; enable via
-  // mutable_tracer().set_enabled(true).
+  // operation (search, publish/withdraw, learning, replication). Disabled
+  // by default; enable via mutable_tracer().set_enabled(true).
   const obs::Tracer& tracer() const { return tracer_; }
   obs::Tracer& mutable_tracer() { return tracer_; }
   // Publishes per-peer load gauges ("load.postings"/"load.queries", one
@@ -249,12 +211,10 @@ class SpriteSystem {
   // with learning-aware version validation. Disabled unless
   // SpriteConfig::cache is kOn or kBlind.
   const cache::CacheManager& query_cache() const { return cache_; }
-  cache::CacheManager& mutable_query_cache() { return cache_; }
-  // The time-series recorder (enabled via SpriteConfig::enable_timeseries
-  // or set_enabled): snapshots of unlabeled registry metrics keyed by
-  // simulated time and learning round, exported as JSONL/CSV by benches.
+  // The time-series recorder (enabled via SpriteConfig::enable_timeseries):
+  // snapshots of unlabeled registry metrics keyed by simulated time and
+  // learning round, exported as JSONL/CSV by benches.
   const obs::TimeSeriesRecorder& timeseries() const { return timeseries_; }
-  obs::TimeSeriesRecorder& mutable_timeseries() { return timeseries_; }
   // Captures one time-series point (labelled with the capture site, e.g.
   // "round" or "post-failure") from the current registry state and
   // evaluates the SLO rules against it. Returns the stored point, or
@@ -265,7 +225,6 @@ class SpriteSystem {
   // per-search score decompositions and the owner-side learning decision
   // ledger behind `sprite_cli explain` / `sprite_cli learning-ledger`.
   const obs::ExplainRecorder& explainer() const { return explain_; }
-  obs::ExplainRecorder& mutable_explainer() { return explain_; }
   // Diagnoses why each of `missed` (docs a reference ranking returned but
   // this system did not) was absent: never-indexed, withdrawn by
   // learning, or churn-lost. Requires enable_explain (the withdrawn
@@ -345,15 +304,6 @@ class SpriteSystem {
   // The share epoch behind ShareDocument and ShareCorpus: validates and
   // shares `docs` in order, stopping at the first invalid document.
   Status ShareDocuments(const std::vector<const corpus::Document*>& docs);
-  // Shared tail of JoinPeer/RebalanceRange: creates the peer state for a
-  // node already on the ring and pulls the key-arc handoff from its
-  // successor.
-  PeerId CompleteJoin(PeerId id);
-  // Moves a key-arc handoff into peer `to` (joins and graceful leaves): one
-  // KeyTransfer per list and per record, one clock advance for the whole
-  // transfer, and a `handoff_bytes` annotation on `span`.
-  void TransferHandoff(IndexingPeer::Handoff handoff, PeerId to,
-                       obs::ScopedSpan& span);
   // Runs the version-check protocol for a cached entry built from
   // `sources`: one direct kVersionCheck exchange per distinct source peer
   // (the querying peer cached the addresses with the entry, so no Chord

@@ -35,7 +35,12 @@ uint64_t LoadU64(const uint8_t* p) {
   return v;
 }
 
-bool KnownMessageType(uint8_t raw) { return raw < p2p::kNumMessageTypes; }
+// Exactly the named p2p::MessageType values: bytes 8-10 are unknown, like
+// every byte past kJoinResponse.
+bool KnownMessageType(uint8_t raw) {
+  return p2p::MessageTypeName(static_cast<p2p::MessageType>(raw)) !=
+         "Unknown";
+}
 
 // Shared sub-encoders -------------------------------------------------------
 

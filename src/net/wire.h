@@ -14,10 +14,11 @@
 // term's inverted list (optionally recording the query), the owner's
 // index-update poll, and the cluster's join — used by the socket transport.
 // The other p2p::MessageType values (iterative lookups, replication,
-// advisories, heartbeats, key handoff, hot-term pushes, version checks) run
-// only in the simulation, which charges them through the cost constants of
-// p2p/message.h without encoding a frame; a frame of such a type still
-// decodes, and a live node answers it with InvalidArgument. Every frame is
+// hot-term pushes, version checks) run only in the simulation, which
+// charges them through the cost constants of p2p/message.h without encoding
+// a frame; a frame of such a type still decodes, and a live node answers it
+// with InvalidArgument. A type byte that names no MessageType (8-10, or
+// anything past kJoinResponse) fails to decode. Every frame is
 //
 //   0        4      6     7     8        12       20       28       36
 //   +--------+------+-----+-----+--------+--------+--------+--------+

@@ -20,12 +20,6 @@ std::string_view MessageTypeName(MessageType type) {
       return "PollResponse";
     case MessageType::kReplicate:
       return "Replicate";
-    case MessageType::kAdvisory:
-      return "Advisory";
-    case MessageType::kHeartbeat:
-      return "Heartbeat";
-    case MessageType::kKeyTransfer:
-      return "KeyTransfer";
     case MessageType::kCachePush:
       return "CachePush";
     case MessageType::kVersionCheck:

@@ -34,24 +34,25 @@ enum class MessageType : uint8_t {
   kPollRequest,      // owner -> indexing peer: index-update message
   kPollResponse,     // indexing peer -> owner: cached queries
   kReplicate,        // indexing peer -> successor: index replica
-  kAdvisory,         // indexing peer -> owner: overload advisory (Sec. 7)
-  kHeartbeat,        // owner -> indexing peer: liveness probe
-  kKeyTransfer,      // successor -> joining peer: responsibility handoff
-  kCachePush,        // indexing peer -> co-term peer: hot-term cache (LAR)
-  kVersionCheck,     // querying peer -> indexing peer: cached-entry
-                     // freshness probe (term versions in, verdict out)
+  // 8, 9 and 10 name no type. The values below are explicit because each
+  // is its type's byte on the wire (DESIGN.md §14).
+  kCachePush = 11,   // indexing peer -> co-term peer: hot-term cache (LAR)
+  kVersionCheck = 12,  // querying peer -> indexing peer: cached-entry
+                       // freshness probe (term versions in, verdict out)
   // Transport-control types (src/net): never counted by the simulation's
   // cost model, only exchanged by live clusters.
-  kJoinRequest,      // newcomer -> member: hello / membership announce
-  kJoinResponse,     // member -> newcomer: full member list
+  kJoinRequest = 13,   // newcomer -> member: hello / membership announce
+  kJoinResponse = 14,  // member -> newcomer: full member list
 };
 
-// One past the last value above; a value appended after kJoinResponse
-// must take its place here.
+// One past the last value above (the size of per-type tables, whose rows
+// 8-10 stay zero); a value appended after kJoinResponse must take its
+// place here.
 inline constexpr int kNumMessageTypes =
     static_cast<int>(MessageType::kJoinResponse) + 1;
 
-// Stable display name, e.g. "PublishTerm".
+// Stable display name, e.g. "PublishTerm"; "Unknown" for a value that
+// names no type.
 std::string_view MessageTypeName(MessageType type);
 
 // Rough wire sizes used for byte accounting (header + typical payload

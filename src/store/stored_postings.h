@@ -103,7 +103,6 @@ class StoredPostings : public std::enable_shared_from_this<StoredPostings> {
                                    const StoreOptions& options);
 
   size_t sealed_count() const { return sealed_ ? sealed_->size() : 0; }
-  DocId sealed_last_doc() const { return sealed_ ? sealed_->last_doc() : 0; }
 
   const CompressedPostingsPtr sealed_;  // null when fully raw
   const PostingList tail_;              // docs strictly above the sealed max

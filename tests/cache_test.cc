@@ -155,7 +155,7 @@ TEST(TermVersionTest, BumpsOnContentChangeOnly) {
 
   peer.AddPosting(T("cat"), P(1, 3));
   EXPECT_EQ(peer.TermVersion(T("cat")), 1u);
-  peer.AddPosting(T("cat"), P(1, 3));  // identical re-publish (heartbeat)
+  peer.AddPosting(T("cat"), P(1, 3));  // identical re-publish
   EXPECT_EQ(peer.TermVersion(T("cat")), 1u);
   peer.AddPosting(T("cat"), P(1, 4));  // changed term frequency
   EXPECT_EQ(peer.TermVersion(T("cat")), 2u);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/learning.h"
 
 namespace sprite::core {
@@ -191,7 +192,7 @@ TEST_P(IncrementalEquivalence, MatchesNaiveForRandomHistories) {
   Rng rng(GetParam());
   // Random vocabulary of 30 terms; the document holds a random subset.
   std::vector<std::string> vocab;
-  for (int i = 0; i < 30; ++i) vocab.push_back("t" + std::to_string(i));
+  for (int i = 0; i < 30; ++i) vocab.push_back(StrFormat("t%d", i));
   std::vector<std::string> doc_tokens;
   for (const auto& t : vocab) {
     const int copies = static_cast<int>(rng.NextUint64(4));  // 0..3

@@ -1,6 +1,6 @@
 // End-to-end tests for SpriteSystem: sharing, distributed search, learning
 // iterations, the eSearch configuration, replication/failure handling, and
-// the Section-7 overload advisories.
+// hot-term caching.
 
 #include <algorithm>
 #include <string>
@@ -246,33 +246,6 @@ TEST_F(SpriteSystemTest, ReplicationServesIndexAfterFailure) {
   EXPECT_EQ(result->front().doc, 0u);
 }
 
-TEST_F(SpriteSystemTest, OverloadAdvisoryReplacesPopularTerm) {
-  // Build a corpus where "common" appears in every document, making its
-  // indexing peer overloaded by construction.
-  corpus::Corpus corpus;
-  for (int i = 0; i < 6; ++i) {
-    corpus.AddDocument(TV({"common", "common", "common",
-                           "rare" + std::to_string(i),
-                           "rare" + std::to_string(i)}));
-  }
-  SpriteConfig config = SmallConfig();
-  config.initial_terms = 1;  // everyone initially indexes only "common"
-  SpriteSystem system(config);
-  ASSERT_TRUE(system.ShareCorpus(corpus).ok());
-
-  const size_t replaced = system.RunOverloadAdvisories(/*threshold=*/3);
-  EXPECT_EQ(replaced, 6u);
-  // Every document now indexes its rare term instead.
-  for (corpus::DocId d = 0; d < 6; ++d) {
-    const auto* terms = system.IndexTermsOf(d);
-    ASSERT_NE(terms, nullptr);
-    EXPECT_EQ(terms->size(), 1u);
-    EXPECT_NE((*terms)[0], "common") << "doc " << d;
-  }
-  EXPECT_GT(system.network_stats().FramesOf(p2p::MessageType::kAdvisory),
-            0u);
-}
-
 TEST_F(SpriteSystemTest, RecordQueryPopulatesHistories) {
   SpriteSystem system(SmallConfig());
   system.RecordQuery(Q(1, {"alpha", "beta"}));
@@ -303,85 +276,6 @@ TEST_F(SpriteSystemTest, UnshareRemovesDocumentFromIndex) {
   EXPECT_EQ(system.IndexTermsOf(0), nullptr);
   // Unsharing twice fails cleanly.
   EXPECT_TRUE(system.UnshareDocument(0).IsNotFound());
-}
-
-TEST_F(SpriteSystemTest, JoinPeerTakesOverItsKeyArc) {
-  SpriteSystem system(SmallConfig());
-  system.RecordQuery(Q(1, {"cat", "whisker"}));
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-  const size_t alive_before = system.ring().num_alive();
-
-  // Join enough peers that some key arcs are certain to move.
-  std::vector<PeerId> newcomers;
-  for (int i = 0; i < 8; ++i) {
-    auto id = system.JoinPeer("latecomer" + std::to_string(i));
-    ASSERT_TRUE(id.ok());
-    newcomers.push_back(id.value());
-  }
-  EXPECT_EQ(system.ring().num_alive(), alive_before + 8);
-
-  // Every shared term must still be owned by the oracle-responsible peer
-  // and searchable.
-  for (const std::string term : {"cat", "dog", "pet", "feline", "canine"}) {
-    const uint64_t key = system.ring().space().KeyForString(term);
-    const PeerId responsible = system.ring().ResponsibleNode(key).value();
-    const IndexingPeer* peer = system.indexing_peer(responsible);
-    ASSERT_NE(peer, nullptr);
-    EXPECT_GT(peer->IndexedDocFreq(text::TermDict::Global().Intern(term)), 0u)
-        << term;
-  }
-  auto result = system.Search(Q(2, {"cat"}), 10, false);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->empty());
-  EXPECT_EQ(result->front().doc, 0u);
-  EXPECT_GT(system.network_stats().FramesOf(p2p::MessageType::kKeyTransfer),
-            0u);
-}
-
-TEST_F(SpriteSystemTest, JoinPeerTransfersMatchingHistory) {
-  SpriteSystem system(SmallConfig());
-  for (corpus::QueryId i = 0; i < 4; ++i) {
-    system.RecordQuery(Q(i, {"cat", "whisker", "purr"}));
-  }
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(system.JoinPeer("nh" + std::to_string(i)).ok());
-  }
-  // Learning still works after the arcs moved: the histories followed the
-  // responsibility transfer.
-  system.RunLearningIteration();
-  const auto* terms = system.IndexTermsOf(0);
-  ASSERT_NE(terms, nullptr);
-  EXPECT_TRUE(std::find(terms->begin(), terms->end(), "whisker") !=
-              terms->end());
-}
-
-TEST_F(SpriteSystemTest, HeartbeatsProbeEveryIndexedTerm) {
-  SpriteSystem system(SmallConfig());
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-  const size_t probes = system.RunHeartbeats();
-  EXPECT_EQ(probes, system.TotalIndexedTerms());
-  EXPECT_EQ(system.network_stats().FramesOf(p2p::MessageType::kHeartbeat),
-            probes);
-}
-
-TEST_F(SpriteSystemTest, HeartbeatsRepublishLostPostings) {
-  SpriteSystem system(SmallConfig());
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-
-  // Fail the peer holding "cat" without replication: the posting is lost.
-  const uint64_t key = system.ring().space().KeyForString("cat");
-  const PeerId victim = system.ring().ResponsibleNode(key).value();
-  ASSERT_TRUE(system.FailPeer(victim).ok());
-  system.StabilizeNetwork(2);
-  ASSERT_TRUE(system.Search(Q(1, {"cat"}), 10, false)->empty());
-
-  // The owner's next liveness round notices and re-publishes.
-  system.RunHeartbeats();
-  auto result = system.Search(Q(2, {"cat"}), 10, false);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->empty());
-  EXPECT_EQ(result->front().doc, 0u);
 }
 
 TEST_F(SpriteSystemTest, HotTermCachingServesFromCoTermPeer) {
@@ -429,30 +323,6 @@ TEST_F(SpriteSystemTest, HotTermCacheDisabledByDefault) {
       system.network_stats().FramesOf(p2p::MessageType::kQueryRequest), 2u);
 }
 
-TEST_F(SpriteSystemTest, SearchWithExpansionFindsCoOccurringDocs) {
-  SpriteSystem system(SmallConfig());
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-  // "cat" retrieves doc0; its content co-occurs with "feline", which also
-  // matches doc0's index. Expansion must not lose the original results.
-  auto plain = system.Search(Q(1, {"cat"}), 10, false);
-  auto expanded = system.SearchWithExpansion(Q(1, {"cat"}), 10, 2, 2);
-  ASSERT_TRUE(expanded.ok());
-  ASSERT_FALSE(expanded->empty());
-  EXPECT_EQ(expanded->front().doc, plain->front().doc);
-}
-
-TEST_F(SpriteSystemTest, SearchWithExpansionZeroExtraEqualsPlain) {
-  SpriteSystem system(SmallConfig());
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-  auto plain = system.Search(Q(1, {"cat", "dog"}), 5, false);
-  auto expanded = system.SearchWithExpansion(Q(1, {"cat", "dog"}), 5, 0);
-  ASSERT_TRUE(expanded.ok());
-  ASSERT_EQ(expanded->size(), plain->size());
-  for (size_t i = 0; i < plain->size(); ++i) {
-    EXPECT_EQ((*expanded)[i].doc, (*plain)[i].doc);
-  }
-}
-
 TEST_F(SpriteSystemTest, UpdateDocumentRefreshesPostings) {
   SpriteSystem system(SmallConfig());
   ASSERT_TRUE(system.ShareCorpus(corpus_).ok());  // doc0 indexes cat,feline
@@ -488,45 +358,6 @@ TEST_F(SpriteSystemTest, UpdateUnknownOrEmptyDocumentRejected) {
   corpus::Document empty;
   empty.id = 0;
   EXPECT_TRUE(system.UpdateDocument(empty).IsInvalidArgument());
-}
-
-TEST_F(SpriteSystemTest, LeavePeerMigratesStateAndDocuments) {
-  SpriteSystem system(SmallConfig());
-  system.RecordQuery(Q(1, {"cat", "whisker"}));
-  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
-
-  // Drain the peer that owns doc0 AND the peer indexing "cat" (possibly
-  // the same); everything must stay searchable.
-  const PeerId doc_owner = system.OwnerOf(0);
-  ASSERT_TRUE(system.LeavePeer(doc_owner).ok());
-  const uint64_t key = system.ring().space().KeyForString("cat");
-  const PeerId cat_peer = system.ring().ResponsibleNode(key).value();
-  if (system.ring().node(cat_peer) != nullptr &&
-      system.ring().node(cat_peer)->alive) {
-    ASSERT_TRUE(system.LeavePeer(cat_peer).ok());
-  }
-
-  EXPECT_NE(system.OwnerOf(0), doc_owner);
-  auto result = system.Search(Q(2, {"cat"}), 10, false);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->empty());
-  EXPECT_EQ(result->front().doc, 0u);
-  // Learning still has the migrated history available.
-  system.RunLearningIteration();
-  const auto* terms = system.IndexTermsOf(0);
-  ASSERT_NE(terms, nullptr);
-  EXPECT_TRUE(std::find(terms->begin(), terms->end(), "whisker") !=
-              terms->end());
-}
-
-TEST_F(SpriteSystemTest, LeavePeerRejectsUnknownAndLast) {
-  SpriteConfig config = SmallConfig();
-  config.num_peers = 1;
-  SpriteSystem solo(config);
-  const PeerId only = solo.ring().AliveIds()[0];
-  EXPECT_TRUE(solo.LeavePeer(only).code() ==
-              StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(solo.LeavePeer(0xdeadbeef).IsNotFound());
 }
 
 TEST_F(SpriteSystemTest, IntrospectionOfUnknownDocIsNull) {
@@ -642,17 +473,15 @@ TEST_F(SpriteSystemTest, WithdrawnDocDoesNotResurfaceFromReplica) {
   system.ReplicateIndexes();
 
   // Fail the peer serving "feline" (indexed for doc0 only); the arc moves
-  // to a successor that holds a stale replica of the list, and a heartbeat
-  // republishes the primary posting there.
+  // to a successor that serves the list from its replica.
   const uint64_t key = system.ring().space().KeyForString("feline");
   const PeerId serving = system.ring().ResponsibleNode(key).value();
   ASSERT_TRUE(system.FailPeer(serving).ok());
   system.StabilizeNetwork(8);
-  system.RunHeartbeats();
 
   auto before = system.Search(Q(1, {"feline"}), 10, /*record=*/false);
   ASSERT_TRUE(before.ok());
-  ASSERT_FALSE(before->empty());  // sanity: doc0 is findable again
+  ASSERT_FALSE(before->empty());  // sanity: the replica serves doc0
 
   ASSERT_TRUE(system.UnshareDocument(0).ok());
   auto after = system.Search(Q(2, {"feline"}), 10, /*record=*/false);

@@ -94,7 +94,7 @@ TEST(TermDictTest, SpellingReferencesSurviveRehash) {
   // grows (the spellings live in a deque, not a reallocating vector).
   text::TermDict dict;
   const std::string& first = dict.TermOf(dict.Intern("first"));
-  for (int i = 0; i < 5000; ++i) dict.Intern("t" + std::to_string(i));
+  for (int i = 0; i < 5000; ++i) dict.Intern(StrFormat("t%d", i));
   EXPECT_EQ(first, "first");
 }
 

@@ -91,11 +91,11 @@ TEST(SimCostModelTest, ChargesAnnotateOnlyAnOpenSpan) {
 
 TEST(SimCostModelTest, ToStringListsNonZeroRowsAndTotal) {
   CostedBus b;
-  ASSERT_TRUE(b.bus.CostSend(1, MessageType::kHeartbeat, 1, {}).ok());
+  ASSERT_TRUE(b.bus.CostSend(1, MessageType::kReplicate, 1, {}).ok());
   b.bus.CostHops(2);
   EXPECT_EQ(b.bus.stats().ToString(),
             "  LookupHop      msgs=         2 bytes=         128\n"
-            "  Heartbeat      msgs=         1 bytes=          49\n"
+            "  Replicate      msgs=         1 bytes=          49\n"
             "  TOTAL          msgs=         3 bytes=         177\n");
 }
 
@@ -202,7 +202,7 @@ TEST(UnreachablePeerTest, RetryKnobsChargeEveryAttempt) {
 // Every charge the simulation makes — direct sends, exchange legs and
 // Chord routing hops alike — is booked once in the bus's ledger and
 // mirrored once as net.*, so after a workload with caching, learning,
-// replication, a failure and a departure the two views agree per type.
+// replication and a failure the two views agree per type.
 TEST(TrafficLedgerTest, LedgerMatchesNetMirrorsForEveryType) {
   const corpus::Corpus corpus = PetCorpus();
   core::SpriteConfig config = CachedConfig(/*send_retries=*/1);
@@ -223,10 +223,6 @@ TEST(TrafficLedgerTest, LedgerMatchesNetMirrorsForEveryType) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(system.Search(pets, 10, /*record=*/false).ok());
   }
-  (void)system.RunHeartbeats();
-  const uint64_t dog = system.ring().space().KeyForString("dog");
-  ASSERT_TRUE(
-      system.LeavePeer(system.ring().ResponsibleNode(dog).value()).ok());
   ASSERT_TRUE(system.Search(cats, 10).ok());
 
   const net::TransportStats& ledger = system.transport_stats();
@@ -243,7 +239,6 @@ TEST(TrafficLedgerTest, LedgerMatchesNetMirrorsForEveryType) {
   EXPECT_GT(ledger.FramesOf(MessageType::kVersionCheck), 0u);
   EXPECT_GT(ledger.FramesOf(MessageType::kPollRequest), 0u);
   EXPECT_GT(ledger.FramesOf(MessageType::kReplicate), 0u);
-  EXPECT_GT(ledger.FramesOf(MessageType::kKeyTransfer), 0u);
   EXPECT_GT(ledger.TotalTimeouts(), 0u);
   EXPECT_EQ(&system.network_stats(), &ledger);
 }

@@ -268,8 +268,9 @@ TEST(WireMalformed, UnknownVersion) {
 }
 
 TEST(WireMalformed, UnknownMessageType) {
+  // 8, 9 and 10 were sim-only types (advisory, heartbeat, key handoff);
   // 15 and 16 were a live-only lookup pair that no node ever sent.
-  for (const int type : {p2p::kNumMessageTypes, 15, 16, 0xff}) {
+  for (const int type : {8, 9, 10, p2p::kNumMessageTypes, 15, 16, 0xff}) {
     std::vector<uint8_t> bytes = EncodeFrame(ToFrame(WithdrawTerm{kTerm, 1}));
     bytes[6] = static_cast<uint8_t>(type);
     StatusOr<Frame> out = DecodeFrame(bytes);
