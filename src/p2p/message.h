@@ -36,7 +36,7 @@ enum class MessageType : uint8_t {
   kReplicate,        // indexing peer -> successor: index replica
   // 8, 9 and 10 name no type. The values below are explicit because each
   // is its type's byte on the wire (DESIGN.md §14).
-  kCachePush = 11,   // indexing peer -> co-term peer: hot-term cache (LAR)
+  kCachePush = 11,     // indexing peer -> co-term peer: hot-term cache (LAR)
   kVersionCheck = 12,  // querying peer -> indexing peer: cached-entry
                        // freshness probe (term versions in, verdict out)
   // Transport-control types (src/net): never counted by the simulation's
