@@ -34,9 +34,9 @@ void IndexingPeer::AddPosting(TermId term, const PostingEntry& entry) {
   auto [it, inserted] = index_.try_emplace(term, empty_);
   bool changed = false;
   StoredPostingsPtr next = it->second->Upserted(entry, &changed);
-  // Re-publishing an unchanged posting (e.g. UpdateDocument re-sending a
-  // term whose frequency did not change) must not invalidate downstream
-  // caches.
+  // Re-publishing an unchanged posting (e.g. UpdateDocument re-sending the
+  // terms of a document whose content did not change) must not invalidate
+  // downstream caches.
   if (!changed) return;
   it->second = std::move(next);
   ++term_versions_[term];
