@@ -70,6 +70,7 @@ Outcome Run(const spritebench::BenchArgs& args, const eval::TestBed& bed,
     spritebench::MaybeWriteTimeSeries(args, system);
   }
   if (instrument) {
+    spritebench::MaybeWriteMetricsJson(args, system);
     spritebench::MaybeWriteTraceFiles(args, system);
     perf.CaptureSystem(system);
   }

@@ -24,7 +24,8 @@
 //
 // Flags: the common --docs/--peers/--seed, plus --rounds=N (end-to-end
 // repetitions, default 3) and --out=PATH (JSON report path, default
-// BENCH_hotpath.json in the working directory).
+// BENCH_hotpath.json in the working directory). --metrics-json and the
+// trace flags dump the trained system.
 
 #include <algorithm>
 #include <chrono>
@@ -406,6 +407,7 @@ int main(int argc, char** argv) {
   core::SpriteConfig config = spritebench::DefaultSpriteConfig(args);
   perf.ApplyConfig(config);
   core::SpriteSystem sys(config);
+  spritebench::MaybeEnableTracing(args, sys);
   SPRITE_CHECK_OK(
       eval::TrainSystem(sys, bed, bed.split().train, /*iterations=*/3));
   setup_phase.Stop();
@@ -415,6 +417,8 @@ int main(int argc, char** argv) {
     rc = RunOnce(args, bed, sys, out_path, rounds, perf);
     if (rc != 0) return rc;
   } while (perf.NextRep());
+  spritebench::MaybeWriteMetricsJson(args, sys);
+  spritebench::MaybeWriteTraceFiles(args, sys);
   perf.CaptureSystem(sys);
   perf.WriteReport();
   return rc;

@@ -22,7 +22,8 @@
 // Flags: the common --docs/--peers/--seed, plus --out=PATH (JSON report,
 // default BENCH_storage.json), and --min-ratio=R (exit nonzero when the
 // encoded compression ratio lands below R; 0 disables the gate — CI runs
-// with --min-ratio=4).
+// with --min-ratio=4). --metrics-json and the trace flags dump the trained
+// system.
 
 #include <chrono>
 #include <cstdint>
@@ -314,6 +315,7 @@ int main(int argc, char** argv) {
   core::SpriteConfig config = spritebench::DefaultSpriteConfig(args);
   perf.ApplyConfig(config);
   core::SpriteSystem sys(config);
+  spritebench::MaybeEnableTracing(args, sys);
   SPRITE_CHECK_OK(
       eval::TrainSystem(sys, bed, bed.split().train, /*iterations=*/3));
   setup_phase.Stop();
@@ -331,6 +333,8 @@ int main(int argc, char** argv) {
     rc = RunOnce(args, sys, out_path, min_ratio, scratch_root, rep++, perf);
     if (rc != 0) break;
   } while (perf.NextRep());
+  spritebench::MaybeWriteMetricsJson(args, sys);
+  spritebench::MaybeWriteTraceFiles(args, sys);
   perf.CaptureSystem(sys);
   perf.WriteReport();
   std::filesystem::remove_all(scratch_root);

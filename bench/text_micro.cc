@@ -2,7 +2,9 @@
 // hashing substrates that every indexing and query operation passes
 // through.
 
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -108,10 +110,20 @@ BENCHMARK(BM_Md5Block)->Arg(64)->Arg(4096)->Arg(65536);
 // shared bench flags parse the rest. --perf-json wraps the whole suite in
 // the repetition harness; no SpriteSystem exists here, so the sidecar
 // reports phase wall times and resources without profiler/worker
-// sections.
+// sections, and a metrics or trace dump, which would stay unwritten, is a
+// usage error.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   const spritebench::BenchArgs args = spritebench::ParseBenchArgs(argc, argv);
+  const std::pair<const char*, const std::string*> dumps[] = {
+      {"--metrics-json", &args.metrics_json},
+      {"--trace-json", &args.trace_json},
+      {"--trace-jsonl", &args.trace_jsonl}};
+  for (const auto& [flag, path] : dumps) {
+    if (path->empty()) continue;
+    std::fprintf(stderr, "no system to dump: %s=%s\n", flag, path->c_str());
+    return 2;
+  }
   spritebench::PerfRecorder perf(args, "text_micro");
   // The suite self-times internally, so it runs once — on the first
   // measured rep — rather than once per rep; benchmark 1.7.1 also cannot

@@ -28,6 +28,30 @@ PostingEntry MakePosting(const OwnedDocument& owned, const std::string& term,
   return entry;
 }
 
+PollPlan PlanPolls(
+    const OwnedDocument& doc, const dht::IdSpace& space,
+    const std::function<std::optional<PeerId>(uint64_t key)>& member_of) {
+  // Index terms were interned when first published, so these Intern calls
+  // are lookups: a parallel plan never assigns a new id here.
+  text::TermDict& dict = text::TermDict::Global();
+  PollPlan plan;
+  plan.terms.reserve(doc.index_terms.size());
+  plan.keys.reserve(doc.index_terms.size());
+  std::map<PeerId, std::vector<TermId>> by_member;
+  for (const std::string& term : doc.index_terms) {
+    const TermId id = dict.Intern(term);
+    const uint64_t key = space.Truncate(dict.RawKeyOf(id));
+    plan.terms.push_back(id);
+    plan.keys.push_back(key);
+    if (const auto member = member_of(key)) by_member[*member].push_back(id);
+  }
+  plan.polls.reserve(by_member.size());
+  for (auto& [member, terms] : by_member) {
+    plan.polls.push_back({member, std::move(terms), std::nullopt});
+  }
+  return plan;
+}
+
 OwnedDocument& OwnerPeer::AdoptDocument(const corpus::Document* doc) {
   SPRITE_CHECK(doc != nullptr);
   OwnedDocument& owned = docs_[doc->id];
@@ -53,8 +77,9 @@ std::vector<std::string> OwnerPeer::SelectInitialTerms(
 }
 
 OwnerPeer::IndexUpdate OwnerPeer::LearnAndRetune(
-    OwnedDocument& doc, const std::vector<const QueryRecord*>& pulled,
-    const SpriteConfig& config, std::vector<ScoredTerm>* ranked_out) const {
+    OwnedDocument& doc, const PollPlan& polled,
+    const std::vector<const QueryRecord*>& pulled, const SpriteConfig& config,
+    std::vector<ScoredTerm>* ranked_out) const {
   SPRITE_CHECK(doc.content != nullptr);
 
   // Keep only issuances not yet folded into the statistics.
@@ -145,13 +170,12 @@ OwnerPeer::IndexUpdate OwnerPeer::LearnAndRetune(
   }
   doc.index_terms = std::move(new_terms);
 
-  // Drop cursors of withdrawn terms. The caller then re-sets the cursor of
-  // every term whose indexing peer it polled, withdrawn ones included, so
-  // only a term whose peer went unpolled re-pulls its history from scratch
-  // when it is re-added (the owner-side processed set keeps that exact).
   for (const std::string& term : update.remove) {
-    const TermId id = text::TermDict::Global().Lookup(term);
-    if (id != text::kInvalidTermId) doc.poll_cursor.erase(id);
+    doc.poll_cursor.erase(text::TermDict::Global().Lookup(term));
+  }
+  for (const PollPlan::Poll& poll : polled.polls) {
+    if (!poll.answer) continue;
+    for (const TermId t : poll.my_terms) doc.poll_cursor[t] = *poll.answer;
   }
 
   return update;

@@ -1,7 +1,9 @@
 #ifndef SPRITE_CORE_OWNER_PEER_H_
 #define SPRITE_CORE_OWNER_PEER_H_
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +12,7 @@
 #include "core/config.h"
 #include "core/learning.h"
 #include "core/types.h"
+#include "dht/id_space.h"
 
 namespace sprite::core {
 
@@ -22,10 +25,8 @@ struct OwnedDocument {
   // Algorithm-1 statistics per term (best qScore, cumulative QF).
   std::unordered_map<std::string, TermLearningStats> stats;
   // Per-term poll cursor, keyed by interned TermId, so index-update polls
-  // stay incremental. After each retune the owner sets the cursor of every
-  // term whose indexing peer answered the poll to that peer's high-water
-  // mark: {0, global seq counter} in the simulation, a live member's
-  // {epoch, newest arrival}. A term added this round has none yet.
+  // stay incremental (LearnAndRetune advances it). A term without one pulls
+  // its member's whole matching history.
   std::unordered_map<TermId, PollCursor> poll_cursor;
   // Seqs of query issuances already folded into `stats`. The paper's
   // closest-term rule dedups within one poll; across iterations the winner
@@ -45,6 +46,28 @@ struct OwnedDocument {
 // identical entries.
 PostingEntry MakePosting(const OwnedDocument& owned, const std::string& term,
                          PeerId owner);
+
+// One document's index-update polls for a learning round (Section 3): each
+// poll carries every index term and names the ones its member serves.
+struct PollPlan {
+  struct Poll {
+    PeerId member = 0;
+    std::vector<TermId> my_terms;  // in publication order
+    // Set by the caller when the member answers: its high-water mark, {0,
+    // global seq counter} in the simulation, {epoch, newest arrival} live.
+    std::optional<PollCursor> answer;
+  };
+  std::vector<TermId> terms;   // the index terms, in publication order
+  std::vector<uint64_t> keys;  // their ring keys
+  std::vector<Poll> polls;     // by ascending member id
+};
+
+// Plans `doc`'s polls. `member_of` gets each index term's ring key, in
+// publication order, and returns the member serving it, or nullopt when no
+// route reaches one: such a term is in no poll.
+PollPlan PlanPolls(
+    const OwnedDocument& doc, const dht::IdSpace& space,
+    const std::function<std::optional<PeerId>(uint64_t key)>& member_of);
 
 // The owner-peer role (Section 3): owns shared documents, selects their
 // initial global index terms, and periodically retunes them from the query
@@ -77,15 +100,16 @@ class OwnerPeer {
     std::vector<std::string> remove;
   };
 
-  // SPRITE learning step for one document: folds the pulled queries into
-  // the statistics (skipping already-processed issuances), ranks candidate
-  // terms by Score, adds up to `terms_per_iteration` new terms and evicts
-  // the lowest-ranked ones beyond `max_index_terms`. Mutates `doc` to the
-  // new index set and returns what changed (the caller publishes/withdraws
-  // through the DHT and does the message accounting). When `ranked_out` is
-  // non-null it receives the full Score(t,D) ranking the verdicts were
-  // drawn from (for the explain ledger).
-  IndexUpdate LearnAndRetune(OwnedDocument& doc,
+  // SPRITE learning step for one document: folds the queries `polled`
+  // pulled into the statistics (skipping already-processed issuances),
+  // ranks candidate terms by Score, adds up to `terms_per_iteration` new
+  // terms and evicts the lowest-ranked ones beyond `max_index_terms`.
+  // Mutates `doc` to the new index set and returns what changed, for the
+  // caller to publish. Withdrawn terms lose their cursors, then each term
+  // of an answered poll, withdrawn or not, takes the poll's answer. When
+  // `ranked_out` is non-null it receives the full Score(t,D) ranking the
+  // verdicts were drawn from (for the explain ledger).
+  IndexUpdate LearnAndRetune(OwnedDocument& doc, const PollPlan& polled,
                              const std::vector<const QueryRecord*>& pulled,
                              const SpriteConfig& config,
                              std::vector<ScoredTerm>* ranked_out = nullptr)

@@ -1182,11 +1182,9 @@ void SpriteSystem::RunLearningIteration() {
     OwnerPeer* owner = nullptr;
     OwnedDocument* owned = nullptr;
     // kLearned plan outputs.
-    std::vector<TermId> poll_terms;
-    std::vector<uint64_t> poll_keys;
-    std::vector<dht::ChordRing::LookupPlan> routes;  // parallel to poll_terms
-    std::map<PeerId, std::vector<TermId>> by_peer;
-    std::vector<size_t> recs_per_peer;  // in by_peer iteration order
+    PollPlan plan;
+    std::vector<dht::ChordRing::LookupPlan> routes;  // parallel to plan.terms
+    std::vector<size_t> recs_per_poll;               // parallel to plan.polls
     uint64_t poll_hops = 0;
     size_t pulled_count = 0;
     // Common outputs.
@@ -1214,10 +1212,11 @@ void SpriteSystem::RunLearningIteration() {
   prologue_wall.Stop();
 
   obs::ScopedWallTimer plan_wall(&wall_, "perf.epoch.learning.plan");
-  // Plan (parallel): route planning, history polling and the Algorithm-1
-  // retune touch only unit-local state — `owned` belongs to exactly one
-  // unit, the peers' query histories and the ring are only read — so the
-  // units are independent and this plan-all-then-commit-all schedule is
+  // Plan (parallel): route planning, history polling, the Algorithm-1
+  // retune and the cursor advance touch only unit-local state — `owned`
+  // belongs to exactly one unit, the peers' query histories and the ring
+  // are only read, and no commit reads a cursor — so the units are
+  // independent and this plan-all-then-commit-all schedule is
   // effect-equivalent to the sequential per-document interleaving.
   pool().ParallelFor(units.size(), [&](size_t u) {
     LearnUnit& unit = units[u];
@@ -1226,53 +1225,39 @@ void SpriteSystem::RunLearningIteration() {
       unit.update = unit.owner->GrowStatic(owned, config_);
       return;
     }
-    // Group the document's current terms by responsible indexing peer.
-    // Index terms were interned when first published, so these Intern
-    // calls are lookups — a worker can never assign a new
-    // (schedule-dependent) id here. Ring keys come precomputed from the
-    // dictionary (no MD5 on the poll path).
-    TermDict& dict = TermDict::Global();
-    unit.poll_terms.reserve(owned.index_terms.size());
-    unit.poll_keys.reserve(owned.index_terms.size());
-    for (const std::string& term : owned.index_terms) {
-      const TermId id = dict.Intern(term);
-      unit.poll_terms.push_back(id);
-      unit.poll_keys.push_back(RingKeyOf(id));
-    }
-    unit.routes.reserve(unit.poll_terms.size());
-    for (size_t t = 0; t < unit.poll_terms.size(); ++t) {
-      unit.routes.push_back(
-          ring_.PlanFindSuccessor(unit.owner_id, unit.poll_keys[t]));
-      const dht::ChordRing::LookupPlan& route = unit.routes.back();
-      if (route.outcome == dht::ChordRing::LookupOutcome::kOk) {
-        unit.by_peer[route.result.node].push_back(unit.poll_terms[t]);
-        unit.poll_hops += static_cast<uint64_t>(route.result.hops);
-      }
-    }
+    // A term whose route from the owner fails is in no poll.
+    unit.routes.reserve(owned.index_terms.size());
+    unit.plan = PlanPolls(owned, ring_.space(), [&](uint64_t key) {
+      const dht::ChordRing::LookupPlan& route = unit.routes.emplace_back(
+          ring_.PlanFindSuccessor(unit.owner_id, key));
+      const bool ok = route.outcome == dht::ChordRing::LookupOutcome::kOk;
+      if (ok) unit.poll_hops += static_cast<uint64_t>(route.result.hops);
+      return ok ? std::optional<PeerId>(route.result.node) : std::nullopt;
+    });
     // Pull the deduplicated incremental query history from each peer.
     std::vector<const QueryRecord*> pulled;
     std::vector<uint64_t> after;
-    unit.recs_per_peer.reserve(unit.by_peer.size());
-    for (const auto& [peer_id, my_terms] : unit.by_peer) {
+    unit.recs_per_poll.reserve(unit.plan.polls.size());
+    for (PollPlan::Poll& poll : unit.plan.polls) {
       after.clear();
-      for (const TermId term : my_terms) {
-        after.push_back(owned.CursorOf(term).arrival);
-      }
+      for (TermId t : poll.my_terms) after.push_back(owned.CursorOf(t).arrival);
       std::vector<const QueryRecord*> recs =
-          indexing_.at(peer_id).CollectQueriesForPoll(
-              unit.poll_terms, unit.poll_keys, my_terms, after, ring_.space());
-      unit.recs_per_peer.push_back(recs.size());
+          indexing_.at(poll.member).CollectQueriesForPoll(
+              unit.plan.terms, unit.plan.keys, poll.my_terms, after,
+              ring_.space());
+      unit.recs_per_poll.push_back(recs.size());
       pulled.insert(pulled.end(), recs.begin(), recs.end());
+      poll.answer = PollCursor{0, seq_counter_};  // its high-water mark
     }
     unit.pulled_count = pulled.size();
     unit.update = unit.owner->LearnAndRetune(
-        owned, pulled, config_, explain_on ? &unit.ranked : nullptr);
+        owned, unit.plan, pulled, config_, explain_on ? &unit.ranked : nullptr);
   });
 
   plan_wall.Stop();
   // Commit (sequential, unit order): replay the effect stream — spans,
-  // lookup stats, poll traffic, cursor advances, metrics, publications —
-  // exactly as the sequential engine ordered it.
+  // lookup stats, poll traffic, metrics, publications — exactly as the
+  // sequential engine ordered it.
   obs::ScopedWallTimer commit_wall(&wall_, "perf.epoch.learning.commit");
   TermDict& dict = TermDict::Global();
   for (LearnUnit& unit : units) {
@@ -1290,49 +1275,35 @@ void SpriteSystem::RunLearningIteration() {
 
     obs::ScopedSpan poll_span(&tracer_, "learning.poll", unit.owner_id);
     poll_span.Annotatef("doc", "%u", unit.doc_id);
-    for (size_t t = 0; t < unit.poll_terms.size(); ++t) {
+    for (size_t t = 0; t < unit.plan.terms.size(); ++t) {
       obs::ScopedSpan route_span(&tracer_, "route", unit.owner_id);
-      route_span.Annotate("term", dict.TermOf(unit.poll_terms[t]));
+      route_span.Annotate("term", dict.TermOf(unit.plan.terms[t]));
       (void)CommitRoute(unit.routes[t]);
     }
 
     // Poll each peer with the full term list (Section 3's index update
     // message); the pulled records were gathered in the plan phase.
     uint64_t poll_bytes = 0;
-    size_t peer_idx = 0;
-    for (const auto& [peer_id, my_terms] : unit.by_peer) {
-      const size_t nrecs = unit.recs_per_peer[peer_idx++];
+    for (size_t p = 0; p < unit.plan.polls.size(); ++p) {
+      const PeerId peer_id = unit.plan.polls[p].member;
+      const size_t nrecs = unit.recs_per_poll[p];
       obs::ScopedSpan exchange_span(&tracer_, "poll.exchange", peer_id);
-      uint64_t exchange_bytes =
-          p2p::kMessageHeaderBytes + unit.poll_terms.size() * p2p::kTermBytes;
+      const uint64_t request = unit.plan.terms.size() * p2p::kTermBytes;
+      const uint64_t reply = nrecs * p2p::kQueryRecordBytes;
       (void)bus_.BeginExchange(peer_id, p2p::MessageType::kPollRequest,
-                               unit.poll_terms.size() * p2p::kTermBytes,
-                               DirectCallOptions());
-      poll_bytes +=
-          p2p::kMessageHeaderBytes + unit.poll_terms.size() * p2p::kTermBytes;
-      bus_.CompleteExchange(p2p::MessageType::kPollResponse,
-                            nrecs * p2p::kQueryRecordBytes);
-      poll_bytes += p2p::kMessageHeaderBytes + nrecs * p2p::kQueryRecordBytes;
-      exchange_bytes +=
-          p2p::kMessageHeaderBytes + nrecs * p2p::kQueryRecordBytes;
+                               request, DirectCallOptions());
+      bus_.CompleteExchange(p2p::MessageType::kPollResponse, reply);
+      const uint64_t bytes = 2 * p2p::kMessageHeaderBytes + request + reply;
+      poll_bytes += bytes;
       tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
-                                latency_.TransferMs(exchange_bytes));
+                                latency_.TransferMs(bytes));
       exchange_span.Annotatef("queries", "%zu", nrecs);
     }
-    // Advance the cursors only for terms whose indexing peer was
-    // actually polled. A term whose route failed keeps its old cursor:
-    // the queries cached at its (temporarily unreachable) peer have not
-    // been offered yet and must still be pulled once the arc heals.
-    for (const auto& [peer_id, my_terms] : unit.by_peer) {
-      for (const TermId term : my_terms) {
-        owned.poll_cursor[term] = PollCursor{0, seq_counter_};
-      }
-    }
-    metrics_.Add("learning.polls", unit.by_peer.size());
+    metrics_.Add("learning.polls", unit.plan.polls.size());
     metrics_.Add("learning.pulled_queries", unit.pulled_count);
     metrics_.Observe("latency.learning.poll_ms",
                      latency_.OperationMs(unit.poll_hops,
-                                          unit.by_peer.size(), poll_bytes));
+                                          unit.plan.polls.size(), poll_bytes));
 
     ApplyIndexUpdate(unit.owner_id, owned, unit.update);
     if (explain_on) {

@@ -454,42 +454,15 @@ void ClusterNode::RunLearningIteration(Done done) {
   if (metrics_ != nullptr) metrics_->Add("cluster.learning_iterations", 1);
   struct Doc {
     core::OwnedDocument* owned = nullptr;
-    std::vector<TermId> terms;        // the index terms, when planned
-    std::vector<uint64_t> member_of;  // per index term
-    size_t unanswered = 0;            // polls
-    // Each answered poll's member and the cursor it answered with.
-    std::vector<std::pair<uint64_t, core::PollCursor>> answered;
+    core::PollPlan plan;                    // until the document retunes
+    size_t unanswered = 0;                  // polls
     std::vector<core::QueryRecord> pulled;  // until the document retunes
     core::OwnerPeer::IndexUpdate update;
-
-    // The poll of `member`: every index term, and the ones it serves with
-    // their cursors, so it returns only records that arrived since.
-    wire::Frame PollFrame(uint64_t member) const {
-      wire::PollRequest req;
-      req.poll_terms = owned->index_terms;
-      for (size_t t = 0; t < member_of.size(); ++t) {
-        if (member_of[t] != member) continue;
-        req.my_terms.push_back(req.poll_terms[t]);
-        req.cursors.push_back(owned->CursorOf(terms[t]));
-      }
-      return ToFrame(req);
-    }
-
-    // Called after the retune, where the simulation's commit advances its
-    // cursors: every planned term of an answered poll, withdrawn ones
-    // too, is pulled up to that member's high-water mark.
-    void AdvanceCursors() {
-      for (const auto& [member, cursor] : answered) {
-        for (size_t t = 0; t < terms.size(); ++t) {
-          if (member_of[t] == member) owned->poll_cursor[terms[t]] = cursor;
-        }
-      }
-    }
   };
   struct LearnOp {
     obs::TraceContext span;
     std::vector<Doc> docs;
-    std::vector<std::pair<size_t, uint64_t>> poll_of;  // document, member
+    std::vector<std::pair<size_t, size_t>> poll_of;  // document, poll
     Status error;  // the first poll reply that did not parse
     Done done;
   };
@@ -498,29 +471,32 @@ void ClusterNode::RunLearningIteration(Done done) {
   op->done = std::move(done);
   // Poll every member responsible for one of a document's index terms —
   // the index-update poll of Section 3, over real frames instead of the
-  // sim bus. A document without index terms has nothing to learn from.
-  // Its polls are all issued before the last reply retunes it, so each
-  // frame, built when it is issued, sees the index terms planned here.
+  // sim bus — with every index term, and the ones it serves with their
+  // cursors, so it returns only records that arrived since. A document
+  // without index terms has nothing to learn from. Its polls are all
+  // issued before the last reply retunes it, so each frame, built when it
+  // is issued, sees the plan made here.
   std::vector<Call> polls;
   op->docs.reserve(owner_.num_documents());  // polls point into it
   for (auto& [doc_id, owned] : owner_.mutable_documents()) {
     Doc& doc = op->docs.emplace_back();
     doc.owned = &owned;
-    for (const std::string& term : owned.index_terms) {
-      doc.terms.push_back(TermDict::Global().Intern(term));
-      doc.member_of.push_back(OwnerOfKey(KeyOfTerm(term)).id);
-    }
-    std::vector<uint64_t> members = doc.member_of;
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-    doc.unanswered = members.size();
-    for (const uint64_t member : members) {
-      polls.push_back({member,
-                       [&doc](const Call& call) {
-                         return doc.PollFrame(call.member);
-                       },
-                       0, "learning.poll"});
-      op->poll_of.emplace_back(op->docs.size() - 1, member);
+    doc.plan = core::PlanPolls(owned, space_, [this](uint64_t key) {
+      return std::optional<uint64_t>(OwnerOfKey(key).id);
+    });
+    doc.unanswered = doc.plan.polls.size();
+    for (size_t p = 0; p < doc.plan.polls.size(); ++p) {
+      const auto frame = [&doc, p](const Call&) {
+        wire::PollRequest req;
+        req.poll_terms = doc.owned->index_terms;
+        for (const TermId term : doc.plan.polls[p].my_terms) {
+          req.my_terms.push_back(TermDict::Global().TermOf(term));
+          req.cursors.push_back(doc.owned->CursorOf(term));
+        }
+        return ToFrame(req);
+      };
+      polls.push_back({doc.plan.polls[p].member, frame, 0, "learning.poll"});
+      op->poll_of.emplace_back(op->docs.size() - 1, p);
     }
   }
   if (metrics_ != nullptr) metrics_->Add("learning.polls", polls.size());
@@ -529,7 +505,7 @@ void ClusterNode::RunLearningIteration(Done done) {
   RunCalls(
       std::move(polls), {op->span}, /*end_groups=*/false,
       [this, op](size_t i, StatusOr<wire::Frame> reply) {
-        const auto [doc_index, member] = op->poll_of[i];
+        const auto [doc_index, p] = op->poll_of[i];
         Doc& doc = op->docs[doc_index];
         if (reply.ok()) {
           StatusOr<wire::PollResponse> parsed = wire::ParsePollResponse(*reply);
@@ -538,23 +514,28 @@ void ClusterNode::RunLearningIteration(Done done) {
             if (metrics_ != nullptr) {
               metrics_->Add("learning.pulled_queries", parsed->records.size());
             }
-            doc.answered.emplace_back(
-                member, core::PollCursor{parsed->epoch, parsed->high_water});
+            doc.plan.polls[p].answer =
+                core::PollCursor{parsed->epoch, parsed->high_water};
             for (const wire::WireQueryRecord& rec : parsed->records) {
               doc.pulled.push_back(FromWire(rec));
             }
           }
         }
         if (--doc.unanswered > 0) return;
-        // Every poll of the document is in: retune it (LearnAndRetune
-        // folds records in any order to the same state) and free them.
+        // Every poll of the document is in: retune it (LearnAndRetune folds
+        // records in any order to the same state) and free them and the plan.
         const std::vector<core::QueryRecord> records =
             std::exchange(doc.pulled, {});
+        const core::PollPlan plan = std::exchange(doc.plan, {});
         std::vector<const core::QueryRecord*> pulled;
         pulled.reserve(records.size());
         for (const core::QueryRecord& rec : records) pulled.push_back(&rec);
-        doc.update = owner_.LearnAndRetune(*doc.owned, pulled, options_.config);
-        doc.AdvanceCursors();
+        doc.update =
+            owner_.LearnAndRetune(*doc.owned, plan, pulled, options_.config);
+        if (metrics_ != nullptr) {
+          metrics_->Add("learning.terms_removed", doc.update.remove.size());
+          metrics_->Add("learning.terms_added", doc.update.add.size());
+        }
       },
       [this, op](const Status&) {
         std::vector<Call> changes;

@@ -109,16 +109,15 @@ class ClusterNode {
   void ShareDocuments(std::vector<corpus::Document> docs, Done done);
   bool Owns(corpus::DocId id) const { return owner_.document(id) != nullptr; }
   // One SPRITE learning iteration over the documents owned here: poll the
-  // responsible members for the query records cached since each term's
-  // cursor and retune each document as soon as its polls are answered,
+  // members core::PlanPolls picks for the query records cached since each
+  // term's cursor, retune each document as soon as its polls are answered,
   // then withdraw and publish the changes, each document's withdrawals
-  // before its publications. A member stamps every record it caches with
-  // its next arrival number and answers a poll with its epoch and arrival
-  // high-water mark; after the retune the owner sets the cursor of every
-  // term of an answered poll to that pair, where the simulation's commit
-  // sets its own. A failed poll skips that member this round and advances
-  // none of its cursors. Counts learning.polls (polls sent) and
-  // learning.pulled_queries (records received), as the simulation does.
+  // before its publications. A member answers with its epoch and arrival
+  // high-water mark, which LearnAndRetune makes the cursor of the poll's
+  // terms, as in the simulation; a failed poll skips that member this round
+  // and advances none. Counts learning.polls (polls sent),
+  // learning.pulled_queries (records received) and
+  // learning.terms_added/terms_removed, as the simulation does.
   void RunLearningIteration(Done done);
   // Records each query's issuance at every member responsible for one of
   // its terms (the training half of SPRITE's learning loop). Every member

@@ -1,10 +1,13 @@
 // Tests for the peer roles: IndexingPeer (inverted lists, query history,
 // poll handling with closest-hash dedup) and OwnerPeer (initial term
-// selection, Algorithm-1 retuning, static eSearch growth).
+// selection, poll planning, Algorithm-1 retuning and the cursors it
+// advances, static eSearch growth).
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -346,7 +349,7 @@ TEST(OwnerPeerTest, LearnAddsQueriedTerms) {
 
   QueryRecord q1 = Rec(1, {"d", "e"});
   QueryRecord q2 = Rec(2, {"d"});
-  auto update = owner.LearnAndRetune(owned, {&q1, &q2}, config);
+  auto update = owner.LearnAndRetune(owned, {}, {&q1, &q2}, config);
 
   // d has QF 2 (score > 0), e has QF 1 (score 0) — both beat nothing else,
   // and the budget is 2 additions.
@@ -370,7 +373,7 @@ TEST(OwnerPeerTest, CapEvictsLowestRanked) {
   // c never (sentinel -1) -> c must be evicted when d arrives.
   QueryRecord q1 = Rec(1, {"d", "a"});
   QueryRecord q2 = Rec(2, {"d", "a"});
-  auto update = owner.LearnAndRetune(owned, {&q1, &q2}, config);
+  auto update = owner.LearnAndRetune(owned, {}, {&q1, &q2}, config);
 
   EXPECT_EQ(update.add, (std::vector<std::string>{"d"}));
   EXPECT_EQ(update.remove, (std::vector<std::string>{"c"}));
@@ -390,8 +393,8 @@ TEST(OwnerPeerTest, ProcessedSeqsPreventDoubleCounting) {
   config.max_index_terms = 5;
 
   QueryRecord q = Rec(1, {"a"});
-  owner.LearnAndRetune(owned, {&q}, config);
-  owner.LearnAndRetune(owned, {&q}, config);  // same issuance offered again
+  owner.LearnAndRetune(owned, {}, {&q}, config);
+  owner.LearnAndRetune(owned, {}, {&q}, config);  // the same issuance again
   EXPECT_EQ(owned.stats["a"].query_freq, 1u);
 }
 
@@ -401,9 +404,61 @@ TEST(OwnerPeerTest, UnqueriedNewTermsNotAdded) {
   OwnedDocument& owned = owner.AdoptDocument(&doc);
   owned.index_terms = {"a"};
   SpriteConfig config;
-  auto update = owner.LearnAndRetune(owned, {}, config);
+  auto update = owner.LearnAndRetune(owned, {}, {}, config);
   EXPECT_TRUE(update.add.empty());
   EXPECT_TRUE(update.remove.empty());
+}
+
+// The cursor rule both learning rounds share. After the retune every term
+// of an answered poll takes the poll's answer, a withdrawn one included;
+// the terms of an unanswered poll keep their cursors, except a withdrawn
+// one, which loses it; an unroutable term is in no poll.
+TEST(OwnerPeerTest, AnsweredPollsAdvanceTheirTermsCursors) {
+  OwnerPeer owner(1);
+  // In-document frequencies a 4, b 3, c 5, d 2, e 1: with no query, a cap
+  // of 3 withdraws the two least frequent, d and e.
+  corpus::Document doc = MakeDoc(0, {"a", "a", "a", "a", "b", "b", "b", "c",
+                                     "c", "c", "c", "c", "d", "d", "e"});
+  OwnedDocument& owned = owner.AdoptDocument(&doc);
+  owned.index_terms = {"a", "b", "c", "d", "e"};
+  for (const std::string& term : owned.index_terms) {
+    owned.poll_cursor[T(term)] = PollCursor{7, 5};
+  }
+
+  // Member 20 serves a and d, member 10 serves b and e, and no route
+  // reaches c's member.
+  const dht::IdSpace space(32);
+  const std::vector<std::optional<PeerId>> member_of = {20, 10, std::nullopt,
+                                                        20, 10};
+  size_t next = 0;
+  PollPlan plan = PlanPolls(owned, space, [&](uint64_t key) {
+    EXPECT_EQ(key, space.KeyForString(owned.index_terms[next]));
+    return member_of[next++];
+  });
+  EXPECT_EQ(plan.terms, Ts({"a", "b", "c", "d", "e"}));
+  ASSERT_EQ(plan.polls.size(), 2u);
+  EXPECT_EQ(plan.polls[0].member, 10u);
+  EXPECT_EQ(plan.polls[0].my_terms, Ts({"b", "e"}));
+  EXPECT_EQ(plan.polls[1].member, 20u);
+  EXPECT_EQ(plan.polls[1].my_terms, Ts({"a", "d"}));
+
+  // Member 20 answers, member 10 does not.
+  plan.polls[1].answer = PollCursor{9, 40};
+  SpriteConfig config;
+  config.max_index_terms = 3;
+  const auto update = owner.LearnAndRetune(owned, plan, {}, config);
+  ASSERT_EQ(update.remove, (std::vector<std::string>{"d", "e"}));
+
+  const auto cursor = [&owned](const std::string& term) {
+    const PollCursor c = owned.CursorOf(T(term));
+    return std::pair(c.epoch, c.arrival);
+  };
+  using Cursor = std::pair<uint64_t, uint64_t>;
+  EXPECT_EQ(cursor("a"), Cursor(9, 40));
+  EXPECT_EQ(cursor("d"), Cursor(9, 40));  // withdrawn, member answered
+  EXPECT_EQ(cursor("b"), Cursor(7, 5));
+  EXPECT_EQ(owned.poll_cursor.count(T("e")), 0u);  // withdrawn, no answer
+  EXPECT_EQ(cursor("c"), Cursor(7, 5));            // unroutable
 }
 
 TEST(OwnerPeerTest, GrowStaticAddsNextFrequentTerms) {

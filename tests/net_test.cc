@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -547,15 +548,24 @@ TEST_F(ClusterFixture, PollsPullWhatTheSimPullsAndNothingOnceSettled) {
   const auto pulled = [&metrics] {
     return metrics.counter("learning.pulled_queries");
   };
+  // Round for round, the cluster pulls the records the simulation pulls
+  // and makes the same index changes.
+  const char* const kCounters[] = {"learning.pulled_queries",
+                                   "learning.terms_added",
+                                   "learning.terms_removed"};
   bool settled = false;
   for (size_t round = 0; round < 10 && !settled; ++round) {
-    const uint64_t live_before = pulled();
-    const uint64_t sim_before = sim.Counter("learning.pulled_queries");
+    std::vector<std::pair<uint64_t, uint64_t>> before;  // live, sim
+    for (const char* name : kCounters) {
+      before.emplace_back(metrics.counter(name), sim.Counter(name));
+    }
     for (auto& node : nodes_) ASSERT_TRUE(LearnNow(*node).ok());
     settled = !sim.Learn();
-    EXPECT_EQ(pulled() - live_before,
-              sim.Counter("learning.pulled_queries") - sim_before)
-        << "round " << round;
+    for (size_t c = 0; c < std::size(kCounters); ++c) {
+      EXPECT_EQ(metrics.counter(kCounters[c]) - before[c].first,
+                sim.Counter(kCounters[c]) - before[c].second)
+          << kCounters[c] << " in round " << round;
+    }
   }
   ASSERT_TRUE(settled);
   ASSERT_GT(pulled(), 0u);

@@ -348,6 +348,28 @@ fi
 usage_error ./build/tools/sprite_daemon --terms=5x
 echo "CLI error smoke OK"
 
+echo "== bench dump smoke: every bench writes the --metrics-json it takes =="
+# Each bench runs small, inside the smoke dir so that the reports some
+# write by default (BENCH_hotpath.json, BENCH_storage.json) land there.
+# text_micro builds no system to dump and rejects the flag.
+root=$(pwd)
+for bench in build/bench/*; do
+  [ -f "$bench" ] && [ -x "$bench" ] || continue
+  name=$(basename "$bench")
+  dump="$SMOKE_DIR/dump_$name.json"
+  case "$name" in
+    text_micro)
+      usage_error "$bench" --benchmark_min_time=0.01 --metrics-json="$dump"
+      continue ;;
+    learning_micro) extra=--benchmark_min_time=0.01 ;;
+    *) extra= ;;
+  esac
+  (cd "$SMOKE_DIR" && "$root/$bench" $extra --docs=200 --peers=16 \
+    --metrics-json="$dump" >/dev/null)
+  python3 -m json.tool "$dump" >/dev/null
+done
+echo "bench dump smoke OK"
+
 if [ "${1:-}" = "--tsan" ]; then
   echo "== sanitizers: TSan build, parallel suite at 4 threads, socket transport, daemons =="
   cmake -B build-tsan -S . \
